@@ -67,12 +67,14 @@ func AlignBatch(triples []Triple, opt Options) []BatchResult {
 // Cancelling ctx stops the batch after the in-flight alignments notice it;
 // triples not yet started are marked with the context error.
 //
-// AlgorithmAuto resolves per triple against the effective scoring scheme
-// and the chosen split: affine schemes get AlgorithmAffine (or
-// AlgorithmAffineParallel on a narrow batch, or AlgorithmAffineLinear over
-// MaxBytes), linear ones AlgorithmFull / AlgorithmParallel (or
-// AlgorithmLinear) — so a batch under BLOSUM62 optimizes the same affine
-// objective a single Align call would.
+// AlgorithmAuto resolves per triple against the effective scoring scheme,
+// exactly as a single Align call at the item's worker count would: affine
+// schemes get AlgorithmAffineParallel (AlgorithmAffineLinear over
+// MaxBytes), linear ones AlgorithmParallelPacked (AlgorithmParallelLinear
+// over MaxBytes, or a Carrillo–Lipman kernel when the identity probe
+// favours one) — so a batch under BLOSUM62 optimizes the same affine
+// objective a single Align call would. On a wide batch every item runs on
+// one worker, which the blocked kernels fill plane by plane.
 func AlignBatchContext(ctx context.Context, triples []Triple, opt Options) []BatchResult {
 	items := make([]BatchItem, len(triples))
 	for i, tr := range triples {
@@ -109,12 +111,19 @@ func AlignBatchItemsContext(ctx context.Context, items []BatchItem) []BatchResul
 		claimers = len(items)
 	}
 	// A narrow batch leaves workers idle under a triple-per-worker split;
-	// route the spare capacity into each alignment instead.
-	intraParallel := claimers < workers
+	// route the spare capacity into each alignment instead. A wide batch
+	// runs every alignment on one worker.
+	opts := make([]Options, len(items))
+	for i, it := range items {
+		opts[i] = it.Opt
+		if claimers == workers {
+			opts[i].Workers = 1
+		}
+	}
 	// Claim in planned-work order, largest first: the biggest lattices
 	// start while every claimer is alive, so the batch's makespan is not
 	// hostage to a huge triple that submission order left for last.
-	order := planOrder(items, intraParallel)
+	order := planOrder(items, opts)
 	var next atomic.Int64
 	claim := func() {
 		for {
@@ -127,11 +136,7 @@ func AlignBatchItemsContext(ctx context.Context, items []BatchItem) []BatchResul
 				out[i].Err = fmt.Errorf("repro: batch cancelled: %w", err)
 				continue // claim and mark the remaining triples too
 			}
-			it := items[i].Opt
-			if !intraParallel {
-				it.Workers = 1
-			}
-			res, err := alignRecover(ctx, items[i].Triple, it, intraParallel)
+			res, err := alignRecover(ctx, items[i].Triple, opts[i])
 			out[i] = BatchResult{Index: i, Result: res, Err: err}
 		}
 	}
@@ -153,14 +158,15 @@ func AlignBatchItemsContext(ctx context.Context, items []BatchItem) []BatchResul
 }
 
 // planOrder returns the claim order for a batch: item indexes sorted by
-// planned DP cell count, largest first (stable, so equal-work items keep
-// submission order). Unplannable items — invalid triple, unknown scheme or
-// algorithm, budget too small — count as zero work and sort last; their
-// error surfaces when the claimer aligns them.
-func planOrder(items []BatchItem, parallel bool) []int {
+// planned DP cell count under the options each item will run with, largest
+// first (stable, so equal-work items keep submission order). Unplannable
+// items — invalid triple, unknown scheme or algorithm, budget too small —
+// count as zero work and sort last; their error surfaces when the claimer
+// aligns them.
+func planOrder(items []BatchItem, opts []Options) []int {
 	keys := make([]uint64, len(items))
 	for i := range items {
-		keys[i] = planCells(items[i], parallel)
+		keys[i] = planCells(items[i].Triple, opts[i])
 	}
 	order := make([]int, len(items))
 	for i := range order {
@@ -171,15 +177,15 @@ func planOrder(items []BatchItem, parallel bool) []int {
 }
 
 // planCells estimates one item's DP work for batch ordering.
-func planCells(it BatchItem, parallel bool) uint64 {
-	if it.Triple.Validate() != nil {
+func planCells(tr Triple, opt Options) uint64 {
+	if tr.Validate() != nil {
 		return 0
 	}
-	sch, err := resolveScheme(it.Triple, it.Opt)
+	sch, err := resolveScheme(tr, opt)
 	if err != nil {
 		return 0
 	}
-	pl, _, err := plan.Resolve(planRequest(it.Triple, sch, it.Opt, parallel))
+	pl, _, err := plan.Resolve(planRequest(tr, sch, opt))
 	if err != nil {
 		return 0
 	}
@@ -189,9 +195,9 @@ func planCells(it BatchItem, parallel bool) uint64 {
 // alignRecover is one batch claimer's alignWith call with panic
 // containment: a panic inside one alignment becomes that triple's error
 // (with the worker stack) instead of crashing the whole batch.
-func alignRecover(ctx context.Context, tr Triple, opt Options, parallel bool) (res *Result, err error) {
+func alignRecover(ctx context.Context, tr Triple, opt Options) (res *Result, err error) {
 	defer recoverAlignPanic(&res, &err)
-	return alignWith(ctx, tr, opt, parallel)
+	return alignWith(ctx, tr, opt)
 }
 
 // recoverAlignPanic converts an in-flight panic into an error carrying the

@@ -117,8 +117,8 @@ func TestAlignBatchAffineAutoMatchesSingle(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("triple %d: %v", i, r.Err)
 		}
-		if r.Result.Algorithm != AlgorithmAffine {
-			t.Fatalf("triple %d: batch resolved Auto to %q, want affine", i, r.Result.Algorithm)
+		if r.Result.Algorithm != AlgorithmAffineParallel {
+			t.Fatalf("triple %d: batch resolved Auto to %q, want affine-parallel", i, r.Result.Algorithm)
 		}
 		ref, err := Align(triples[i], opt)
 		if err != nil {

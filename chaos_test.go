@@ -51,6 +51,49 @@ func TestChaosFillPanicContainedParallel(t *testing.T) {
 	}
 }
 
+// TestChaosFillPanicContainedOneWorker is the one-worker twin of the
+// parallel containment test: a sequential fill is the blocked schedule run
+// by one worker, so an injected block-fill panic comes back from a single
+// Align call as a contained *wavefront.PanicError instead of unwinding the
+// caller — for the linear-gap and the affine kernel alike.
+func TestChaosFillPanicContainedOneWorker(t *testing.T) {
+	tr := chaosTriple(t, 37, 48)
+	dna, err := DefaultScheme(DNA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	affine, err := dna.WithGaps(-4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultpoint.Reset)
+	for _, opt := range []Options{
+		{Workers: 1},
+		{Algorithm: AlgorithmFull, Workers: 1},
+		{Scheme: affine, Workers: 1},
+	} {
+		want, err := Align(tr, opt)
+		if err != nil {
+			t.Fatalf("%+v: baseline align: %v", opt, err)
+		}
+		if err := faultpoint.Arm("core.fill.block", "nth:3"); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Align(tr, opt)
+		if !wavefront.IsPanic(err) {
+			t.Fatalf("%+v: err = %v, want a contained *wavefront.PanicError", opt, err)
+		}
+		faultpoint.Reset()
+		res, err := Align(tr, opt)
+		if err != nil {
+			t.Fatalf("%+v: align after contained panic: %v", opt, err)
+		}
+		if res.Score != want.Score {
+			t.Fatalf("%+v: score after contained panic = %d, want %d", opt, res.Score, want.Score)
+		}
+	}
+}
+
 // TestChaosBatchFaultsNoLostItems runs a heterogeneous batch with periodic
 // fill panics: every submitted item must come back exactly once, in order,
 // either failed with an error or with the exact fault-free score — never

@@ -12,8 +12,10 @@
 //	align3 -msa -in family.fasta
 //	align3 -msa -in family.fasta -explain
 //
-// Exact algorithms: full, parallel, linear, parallel-linear, diagonal,
-// pruned, pruned-parallel, affine, affine-linear, affine-parallel.
+// Exact algorithms: parallel, parallel-packed, parallel-linear, diagonal,
+// pruned-parallel, bounded, astar, affine-parallel, affine-linear, and the
+// aliases full, full-packed, linear, pruned and affine — the same kernels
+// by their sequential names (-workers 1 runs any of them sequentially).
 // Heuristics: center-star, center-star-refined, progressive.
 // Formats: pretty (default), clustal, fasta, stats, json, quiet.
 // Gzip-compressed input is detected automatically; -both-strands also

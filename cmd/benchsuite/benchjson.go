@@ -202,6 +202,22 @@ func writeBenchJSON(path string, cfg config) error {
 	pairCells := int64(nPair+1) * int64(nPair+1)
 	lattice := func(t seq.Triple) int64 { return core.FullMatrixBytes(t) }
 
+	// The blocked rows pin the tiling a multi-worker run resolves, so they
+	// keep measuring the cache-tiled configuration the planner's
+	// above-one-worker rates extrapolate from; left to the adaptive
+	// heuristic, a one-worker run would fill whole planes, which is what
+	// the "full" rows measure.
+	blockedTile := func(bytesPerCell int) [3]int {
+		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1,
+			max(2, runtime.GOMAXPROCS(0)), bytesPerCell)
+		return [3]int{ti, tj, tk}
+	}
+	tiles := map[string][3]int{
+		"parallel":            blockedTile(4),
+		"parallel-packed":     blockedTile(4),
+		"parallel-packed-w16": blockedTile(2),
+	}
+
 	// Bounded-search workloads: the calibration rows run at 80% identity
 	// (the regime the planner targets); the sweep rows cover 60/80/95%.
 	// Mutations follow seq.Uniform (indel rate = substitution/4) so the
@@ -265,22 +281,22 @@ func writeBenchJSON(path string, cfg config) error {
 		sched bool    // goes through the wavefront block scheduler
 	}{
 		{"full", n, lattice(tr), func() {
-			mustAlign(core.AlignFull(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
 		{"full-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignFullPacked(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
 		{"full-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignFullPacked(ctx, tr, sch, core.Options{CellWidth: 16}))
+			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{Workers: 1, CellWidth: 16}))
 		}, cells(tr), 0, false},
 		{"parallel", n, lattice(tr), func() {
-			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{TileDims: tiles["parallel"]}))
 		}, cells(tr), 0, true},
 		{"parallel-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed"]}))
 		}, cells(tr), 0, true},
 		{"parallel-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{CellWidth: 16}))
+			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed-w16"], CellWidth: 16}))
 		}, cells(tr), 0, true},
 		{"score", n, 2 * int64(tr.B.Len()+1) * int64(tr.C.Len()+1) * 4, func() {
 			if _, err := core.Score(ctx, tr, sch, core.Options{}); err != nil {
@@ -288,10 +304,10 @@ func writeBenchJSON(path string, cfg config) error {
 			}
 		}, cells(tr), 0, false},
 		{"linear", n, core.LinearBytes(tr), func() {
-			mustAlign(core.AlignLinear(ctx, tr, sch, core.Options{}))
+			mustAlign(core.AlignParallelLinear(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
 		{"pruned", n, lattice(tr), func() {
-			if _, _, err := core.AlignPruned(ctx, tr, sch, core.Options{}); err != nil {
+			if _, _, err := core.AlignPrunedParallel(ctx, tr, sch, core.Options{Workers: 1}); err != nil {
 				panic(err)
 			}
 		}, cells(tr), 0, false},
@@ -299,7 +315,7 @@ func writeBenchJSON(path string, cfg config) error {
 			mustAlign(core.AlignDiagonal(ctx, tr, sch, core.Options{}))
 		}, cells(tr), 0, false},
 		{"affine7", nAff, 7 * lattice(trAff), func() {
-			mustAlign(core.AlignAffine(ctx, trAff, affSch, core.Options{}))
+			mustAlign(core.AlignAffineParallel(ctx, trAff, affSch, core.Options{Workers: 1}))
 		}, cells(trAff), 0, false},
 		{"pairwise-global", nPair, pairCells * 4, func() {
 			pairwise.Global(pa, pb, sch)
@@ -361,13 +377,13 @@ func writeBenchJSON(path string, cfg config) error {
 		}
 		if k.sched {
 			// Per-operation scheduler work (measureKernel runs reps+1 ops
-			// including the warm-up) and the tile shape the kernel resolved.
+			// including the warm-up) and the tile shape the row pins.
 			d := wavefront.Stats().Sub(before)
 			ops := int64(cfg.reps) + 1
 			m.Steals = d.Steals / ops
 			m.Keeps = d.Keeps / ops
-			ti, tj, tk := core.AdaptiveTileDims(k.n+1, k.n+1, k.n+1, runtime.GOMAXPROCS(0), 4)
-			m.TileDims = fmt.Sprintf("%dx%dx%d", ti, tj, tk)
+			t := tiles[k.name]
+			m.TileDims = fmt.Sprintf("%dx%dx%d", t[0], t[1], t[2])
 		}
 		rep.Kernels = append(rep.Kernels, m)
 	}

@@ -196,10 +196,10 @@ func runT1(cfg config) error {
 	for _, n := range lengths {
 		tr := triple(1000+int64(n), n, 0.3)
 		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tLin := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignLinear(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallelLinear(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(n, cells(tr), tFull.Mean,
 			bench.CellRate(cells(tr), tFull.Mean)/1e6,
@@ -354,7 +354,7 @@ func runF4(cfg config) error {
 		bound := mustAlign(msa.CenterStar(tr, dnaSch()))
 		var st core.PruneStats
 		tPruned := bench.Measure(cfg.reps, func() {
-			aln, stats, err := core.AlignPruned(context.Background(), tr, dnaSch(), core.Options{}, bound.Score)
+			aln, stats, err := core.AlignPrunedParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}, bound.Score)
 			if err != nil {
 				panic(err)
 			}
@@ -362,7 +362,7 @@ func runF4(cfg config) error {
 			st = stats
 		})
 		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(fmt.Sprintf("%.0f%%", id*100), st.EvaluatedCells, st.TotalCells,
 			st.Fraction(), tPruned.Mean, tFull.Mean)
@@ -417,10 +417,10 @@ func runT5(cfg config) error {
 		tr := triple(10000+int64(n), n, 0.3)
 		var linScore, affScore int32
 		tLin := bench.Measure(cfg.reps, func() {
-			linScore = mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{})).Score
+			linScore = mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1})).Score
 		})
 		tAff := bench.Measure(cfg.reps, func() {
-			affScore = mustAlign(core.AlignAffine(context.Background(), tr, affSch, core.Options{})).Score
+			affScore = mustAlign(core.AlignAffineParallel(context.Background(), tr, affSch, core.Options{Workers: 1})).Score
 		})
 		tAffLin := bench.Measure(cfg.reps, func() {
 			aln := mustAlign(core.AlignAffineLinear(context.Background(), tr, affSch, core.Options{}))
@@ -560,7 +560,7 @@ func runF9(cfg config) error {
 			}
 		})
 		tFull := bench.Measure(cfg.reps, func() {
-			mustAlign(core.AlignFull(context.Background(), tr, dnaSch(), core.Options{}))
+			mustAlign(core.AlignParallel(context.Background(), tr, dnaSch(), core.Options{Workers: 1}))
 		})
 		tab.AddRowf(fmt.Sprintf("%.0f%%", id*100), st.EvaluatedCells, st.TotalCells,
 			st.Fraction(), tBounded.Mean, tAStar.Mean, tFull.Mean)

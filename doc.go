@@ -23,9 +23,10 @@
 //
 // AlignContext and AlignBatchContext are the context-aware entry points;
 // Align and AlignBatch are the same calls under context.Background().
-// Cancelling the context stops every kernel cooperatively: sequential
-// kernels poll at plane boundaries, parallel kernels per wavefront block,
-// and the worker pool drains without leaking goroutines. The returned
+// Cancelling the context stops every kernel cooperatively: blocked
+// kernels poll per wavefront block (per i-plane at one worker), plane-sweep
+// kernels at plane boundaries, and the worker pool drains without leaking
+// goroutines. The returned
 // error wraps context.Canceled or context.DeadlineExceeded — test with
 // errors.Is:
 //
@@ -87,10 +88,10 @@
 // hint with a one-sided failure mode: kernels re-verify the bound at
 // dispatch and silently run 32-bit cells when it does not hold, so a
 // stale plan can cost memory bandwidth but can never truncate a score.
-// The -packed algorithm variants (AlgorithmFullPacked,
-// AlgorithmParallelPacked — the Auto defaults for linear-gap schemes)
-// additionally vectorize the interior loop along the unit-stride axis;
-// they are exact and bit-identical to their scalar counterparts.
+// AlgorithmParallelPacked (alias AlgorithmFullPacked; the Auto default for
+// linear-gap schemes) additionally vectorizes the interior loop along the
+// unit-stride axis; it is exact and bit-identical to its scalar
+// counterpart.
 //
 // The underlying algorithm implementations live in internal/core; sequence
 // and scoring substrates in internal/seq and internal/scoring; heuristic

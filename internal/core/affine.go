@@ -86,10 +86,13 @@ func moveDelta(s alignment.Move) (di, dj, dk int) {
 	return
 }
 
-// AlignAffine computes an optimal three-sequence alignment under the
-// quasi-natural affine sum-of-pairs objective. With GapOpen == 0 it returns
-// the same optimum as AlignFull. Memory is seven full lattices.
-func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
+// AlignAffineParallel computes an optimal three-sequence alignment under
+// the quasi-natural affine sum-of-pairs objective with the blocked-wavefront
+// schedule — the paper's parallelization applied to the seven-state
+// recurrence. One worker fills whole i-planes in order (the public
+// "affine" alias). With GapOpen == 0 it returns the same optimum as
+// AlignParallel. Memory is seven full lattices.
+func AlignAffineParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
@@ -103,7 +106,7 @@ func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Op
 	if len(ca) == 0 && len(cb) == 0 && len(cc) == 0 {
 		return &alignment.Alignment{Triple: tr, Moves: nil, Score: 0}, nil
 	}
-	moves, score, err := affineDPMoves(ctx, ca, cb, cc, sch, 7, 0)
+	moves, score, err := affineDPMoves(ctx, ca, cb, cc, sch, 7, 0, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -119,9 +122,10 @@ func AlignAffine(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Op
 // before the box (7 at the true origin), and sEnd, when non-zero,
 // constrains the box's final column mask (used by the linear-space
 // divide-and-conquer to glue sub-solutions without double-charging gap
-// opens). It returns the move list and its quasi-natural score under
-// those boundary conditions.
-func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, q0, sEnd alignment.Move) ([]alignment.Move, mat.Score, error) {
+// opens). The box is filled by the blocked wavefront under opt's tiling
+// and worker count. It returns the move list and its quasi-natural score
+// under those boundary conditions.
+func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, q0, sEnd alignment.Move, opt Options) ([]alignment.Move, mat.Score, error) {
 	n, m, p := len(ca), len(cb), len(cc)
 
 	if n == 0 && m == 0 && p == 0 {
@@ -145,13 +149,15 @@ func affineDPMoves(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, 
 	}
 	d[q0-1].Set(0, 0, 0, 0)
 
-	sj := wavefront.Span{Lo: 0, Hi: m + 1}
-	sk := wavefront.Span{Lo: 0, Hi: p + 1}
-	for i := 0; i <= n; i++ {
-		if err := checkCtx(ctx); err != nil {
-			return nil, 0, err
-		}
-		fillRangeAffine(&d, st, ca, cb, cc, sch, &open, wavefront.Span{Lo: i, Hi: i + 1}, sj, sk)
+	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
+	ti, tj, tk := opt.tileDims(n+1, m+1, p+1, 28)
+	si := wavefront.Partition(n+1, ti)
+	sj := wavefront.Partition(m+1, tj)
+	sk := wavefront.Partition(p+1, tk)
+	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
+		fillRangeAffine(&d, st, ca, cb, cc, sch, &open, si[bi], sj[bj], sk[bk])
+	}); err != nil {
+		return nil, 0, err
 	}
 
 	return affineTraceback(d, ca, cb, cc, sch, sEnd)

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"context"
-	"fmt"
-
 	"repro/internal/alignment"
 	"repro/internal/mat"
 	"repro/internal/scoring"
-	"repro/internal/seq"
 	"repro/internal/wavefront"
 )
 
@@ -140,55 +136,4 @@ func affineLane(d *[7]*mat.Tensor3, opT *[8][8]mat.Score, ge, sAB mat.Score, acR
 			}
 		}
 	}
-}
-
-// AlignAffineParallel computes the same quasi-natural affine optimum as
-// AlignAffine with the blocked-wavefront schedule over a goroutine pool —
-// the paper's parallelization applied to the seven-state recurrence.
-func AlignAffineParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCtx(ctx); err != nil {
-		return nil, err
-	}
-	if 7*FullMatrixBytes(tr) > opt.maxBytes() {
-		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, 7*FullMatrixBytes(tr), opt.maxBytes())
-	}
-	if len(ca) == 0 && len(cb) == 0 && len(cc) == 0 {
-		return &alignment.Alignment{Triple: tr, Moves: nil, Score: 0}, nil
-	}
-	n, m, p := len(ca), len(cb), len(cc)
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	open := newAffineOpenTable(sch)
-	var d [7]*mat.Tensor3
-	for s := 0; s < 7; s++ {
-		d[s] = mat.GetTensor3(n+1, m+1, p+1)
-		d[s].Fill(mat.NegInf)
-		defer mat.PutTensor3(d[s])
-	}
-	d[6].Set(0, 0, 0, 0) // origin in state 7: the first column pays its opens
-
-	// 28 bytes per cell: seven 4-byte lattices, one per affine gap state.
-	ti, tj, tk := opt.tileDims(n+1, m+1, p+1, 28)
-	si := wavefront.Partition(n+1, ti)
-	sj := wavefront.Partition(m+1, tj)
-	sk := wavefront.Partition(p+1, tk)
-	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
-		fillRangeAffine(&d, st, ca, cb, cc, sch, &open, si[bi], sj[bj], sk[bk])
-	}); err != nil {
-		return nil, err
-	}
-
-	moves, score, err := affineTraceback(d, ca, cb, cc, sch, 0)
-	if err != nil {
-		return nil, err
-	}
-	aln := &alignment.Alignment{Triple: tr, Moves: moves, Score: score}
-	if err := aln.Validate(); err != nil {
-		return nil, fmt.Errorf("core: parallel affine alignment invalid: %w", err)
-	}
-	return aln, nil
 }

@@ -12,7 +12,7 @@ func TestScoreEqualsFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 15; trial++ {
 		tr := randomTriple(rng, rng.Intn(25), rng.Intn(25), rng.Intn(25))
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestAlignBandedWideIsOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 10; trial++ {
 		tr := randomTriple(rng, rng.Intn(18), rng.Intn(18), rng.Intn(18))
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func TestAlignBandedNarrowIsValidLowerBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(87))
 	for trial := 0; trial < 12; trial++ {
 		tr := randomTriple(rng, rng.Intn(20), rng.Intn(20), rng.Intn(20))
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestAlignBandedUnequalLengthsConnected(t *testing.T) {
 
 func TestAlignBandedSimilarSequencesExact(t *testing.T) {
 	tr := relatedTriple(91, 60, 0.05)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

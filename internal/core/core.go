@@ -2,25 +2,29 @@
 // primary contribution of the reproduced paper — as a family of algorithms
 // over the same objective:
 //
-//   - AlignFull: sequential full-matrix 3D dynamic programming with
-//     traceback. O(n·m·p) time and space.
-//   - AlignParallel: the paper's parallel algorithm. The 3D lattice is
-//     tiled into blocks evaluated in wavefront order by a goroutine pool;
-//     blocks on an anti-diagonal plane are independent.
-//   - AlignLinear: 3D Hirschberg divide-and-conquer; O(n·m·p) time with
-//     only O(m·p) working memory, which is what makes long sequences
-//     feasible.
-//   - AlignParallelLinear: the Hirschberg recursion with every plane sweep
-//     parallelized by a 2D blocked wavefront, and independent sub-problems
-//     solved concurrently.
-//   - AlignAffine: the 7-state generalization of Gotoh's algorithm with
-//     quasi-natural affine gap costs.
-//   - AlignPruned: full-matrix DP restricted to the Carrillo–Lipman
-//     admissible region derived from pairwise projection bounds.
+//   - AlignParallel (and its lane-packed twin AlignParallelPacked): the
+//     paper's algorithm. The 3D lattice is tiled into blocks evaluated in
+//     wavefront order by a goroutine pool; blocks on an anti-diagonal plane
+//     are independent. O(n·m·p) time and space.
+//   - AlignParallelLinear: 3D Hirschberg divide-and-conquer in O(m·p)
+//     working memory, which is what makes long sequences feasible; every
+//     plane sweep runs a 2D blocked wavefront and independent sub-problems
+//     are solved concurrently.
+//   - AlignAffineParallel: the 7-state generalization of Gotoh's algorithm
+//     with quasi-natural affine gap costs, on the same blocked wavefront.
+//   - AlignPrunedParallel: the blocked full-matrix DP restricted to the
+//     Carrillo–Lipman admissible region derived from pairwise projection
+//     bounds.
+//
+// There are no separate sequential kernels: a sequential fill is the
+// blocked schedule run by one worker, with the whole-plane tiling
+// AdaptiveTileDims picks for it. The public sequential algorithm names
+// ("full", "full-packed", "linear", "affine", "pruned") are planner aliases
+// for these kernels at Options.Workers == 1.
 //
 // All algorithms maximize the linear-gap sum-of-pairs objective defined by
-// a scoring.Scheme (AlignAffine maximizes the affine variant) and, except
-// for the heuristically bounded pruning statistics, return identical
+// a scoring.Scheme (the affine kernels maximize the affine variant) and,
+// except for the heuristically bounded pruning statistics, return identical
 // optimal scores.
 package core
 
@@ -46,8 +50,8 @@ var fpFill = faultpoint.New("core.fill.block")
 
 // Options tunes the algorithms. The zero value is ready to use.
 type Options struct {
-	// Workers is the goroutine pool size for the parallel algorithms;
-	// non-positive means GOMAXPROCS.
+	// Workers is the goroutine pool size for the wavefront kernels; 1 runs
+	// them sequentially, non-positive means GOMAXPROCS.
 	Workers int
 	// BlockSize is the tile edge length for blocked wavefront execution;
 	// non-positive means DefaultBlockSize.
@@ -63,8 +67,8 @@ type Options struct {
 	// adaptive heuristic.
 	TileDims [3]int
 	// CellWidth selects the lattice cell storage width in bits for the
-	// width-aware kernels (AlignFull, AlignParallel and their packed
-	// variants): 16 requests an int16 lattice, 0 or 32 the default int32.
+	// width-aware kernels (AlignParallel and its packed variant): 16
+	// requests an int16 lattice, 0 or 32 the default int32.
 	// The kernels re-verify the request with the Int16Safe bound and keep
 	// int32 silently when the narrow width could overflow, so a stale or
 	// hostile value can cost bandwidth but never correctness.
@@ -84,9 +88,8 @@ const DefaultMaxBytes int64 = 4 << 30
 var ErrTooLarge = errors.New("core: score lattice exceeds memory cap")
 
 // checkCtx translates a done context into the error every kernel returns at
-// its cancellation points. Sequential kernels poll it at plane boundaries;
-// parallel kernels inherit the per-block polling of the wavefront
-// scheduler.
+// its cancellation points. Plane-sweep kernels poll it at plane boundaries;
+// blocked kernels inherit the per-block polling of the wavefront scheduler.
 func checkCtx(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("core: alignment cancelled: %w", err)
@@ -103,15 +106,16 @@ func (o Options) maxBytes() int64 {
 	return o.MaxBytes
 }
 
-// FullMatrixBytes reports the lattice allocation AlignFull and
-// AlignParallel perform for the given triple; the T2 experiment tabulates
-// it against LinearBytes.
+// FullMatrixBytes reports the lattice allocation AlignParallel and
+// AlignPrunedParallel perform for the given triple; the T2 experiment
+// tabulates it against LinearBytes.
 func FullMatrixBytes(tr seq.Triple) int64 {
 	return mat.Tensor3Bytes(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1)
 }
 
-// LinearBytes reports the peak lattice allocation of AlignLinear: two
-// (m+1)×(p+1) planes for each of the forward and backward sweeps.
+// LinearBytes reports the peak lattice allocation of AlignParallelLinear at
+// one worker: two (m+1)×(p+1) planes for each of the forward and backward
+// sweeps.
 func LinearBytes(tr seq.Triple) int64 {
 	return 4 * mat.PlaneBytes(tr.B.Len()+1, tr.C.Len()+1)
 }
@@ -124,9 +128,9 @@ func colXXX(sch *scoring.Scheme, ai, bj, ck int8) mat.Score {
 
 // fillRange computes every lattice cell in the box si×sj×sk in
 // lexicographic order. The caller guarantees all predecessor cells outside
-// the box are already computed (true for sequential whole-lattice fills and
-// for wavefront-scheduled blocks). Pair scores come from the precomputed
-// tables; ge2 is 2·GapExtend.
+// the box are already computed (true for wavefront-scheduled blocks at any
+// worker count). Pair scores come from the precomputed tables; ge2 is
+// 2·GapExtend.
 //
 // The box is peeled into explicit boundary passes (i == 0 plane, j == 0
 // row, k == 0 column) and a branch-minimal interior loop, so the interior
@@ -298,109 +302,48 @@ func prepare(tr seq.Triple, sch *scoring.Scheme) (ca, cb, cc []int8, err error) 
 	return tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), nil
 }
 
-// AlignFull computes an optimal alignment with the sequential full-matrix
-// algorithm. The context is polled at every i-plane boundary. When
-// Options.CellWidth asks for — and the Int16Safe bound admits — a 16-bit
-// lattice, the fill runs over int16 cells at half the memory traffic and
-// produces bit-identical scores.
-func AlignFull(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt, false)
-	}
-	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, false)
-}
-
-// AlignFullPacked is AlignFull with the lane-packed interior: the unit-
-// stride k lane advances four cells per iteration with hand-unrolled,
-// bounds-check-free max chains. Scores and moves are bit-identical to
-// AlignFull (integer max is associative and commutative, so regrouping the
-// chain cannot change any cell).
-func AlignFullPacked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignFullOf[int16](ctx, tr, ca, cb, cc, sch, opt, true)
-	}
-	return alignFullOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, true)
-}
-
 // latticeNeed is the width-aware admission size of the full lattice.
 func latticeNeed[T mat.Cell](ca, cb, cc []int8) int64 {
 	return int64(mat.CellBytes[T]()) * int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
 }
 
-func alignFullOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
-	if err := checkCtx(ctx); err != nil {
-		return nil, err
-	}
-	if need := latticeNeed[T](ca, cb, cc); need > opt.maxBytes() {
-		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, need, opt.maxBytes())
-	}
-	st := newScoreTablesOf[T](ca, cb, cc, sch)
-	defer st.release()
-	t := mat.GetTensor3Of[T](len(ca)+1, len(cb)+1, len(cc)+1)
-	defer mat.PutTensor3Of(t)
-	ge2 := T(2 * sch.GapExtend())
-	var lv laneVec
-	if packed {
-		initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	}
-	sj := wavefront.Span{Lo: 0, Hi: len(cb) + 1}
-	sk := wavefront.Span{Lo: 0, Hi: len(cc) + 1}
-	for i := 0; i <= len(ca); i++ {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		si := wavefront.Span{Lo: i, Hi: i + 1}
-		if packed {
-			fillRangePacked(t, st, ge2, si, sj, sk, &lv)
-		} else {
-			fillRange(t, st, ge2, si, sj, sk)
-		}
-	}
-	moves, err := tracebackTensor(t, ca, cb, cc, sch)
-	if err != nil {
-		return nil, err
-	}
-	return &alignment.Alignment{Triple: tr, Moves: moves, Score: mat.Score(t.At(len(ca), len(cb), len(cc)))}, nil
-}
-
-// AlignParallel computes the same optimum as AlignFull using the blocked
-// wavefront schedule over a goroutine pool — the paper's parallel
-// algorithm. The full lattice is retained, so traceback is exact.
-// Cancellation is checked per block by the wavefront scheduler. Like
-// AlignFull it honors a planner-negotiated Options.CellWidth of 16.
+// AlignParallel computes an optimal alignment with the paper's blocked
+// wavefront: the full lattice is tiled and the tiles are filled in
+// wavefront order by a pool of Options.Workers goroutines. One worker is
+// the degenerate tiling — whole i-planes in order — so this is also the
+// sequential full-matrix algorithm (the public "full" alias). The lattice
+// is retained, so traceback is exact. Cancellation is checked per block
+// (per i-plane at one worker), and a panic inside a block fill comes back
+// as a *wavefront.PanicError at any worker count. When Options.CellWidth
+// asks for — and the Int16Safe bound admits — a 16-bit lattice, the fill
+// runs over int16 cells at half the memory traffic with bit-identical
+// scores.
 func AlignParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	ca, cb, cc, err := prepare(tr, sch)
-	if err != nil {
-		return nil, err
-	}
-	if useInt16(opt, sch, ca, cb, cc) {
-		return alignParallelOf[int16](ctx, tr, ca, cb, cc, sch, opt, false)
-	}
-	return alignParallelOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, false)
+	return alignBlocked(ctx, tr, sch, opt, false)
 }
 
-// AlignParallelPacked is AlignParallel with the lane-packed interior
-// filling each wavefront block; see AlignFullPacked.
+// AlignParallelPacked is AlignParallel with the lane-packed interior: the
+// unit-stride k lane advances several cells per iteration (AVX2 where the
+// host has it, hand-unrolled bounds-check-free max chains elsewhere).
+// Scores and moves are bit-identical to AlignParallel (integer max is
+// associative and commutative, so regrouping the chain cannot change any
+// cell). At one worker it is the public "full-packed" alias.
 func AlignParallelPacked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
+	return alignBlocked(ctx, tr, sch, opt, true)
+}
+
+func alignBlocked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
 	}
 	if useInt16(opt, sch, ca, cb, cc) {
-		return alignParallelOf[int16](ctx, tr, ca, cb, cc, sch, opt, true)
+		return alignBlockedOf[int16](ctx, tr, ca, cb, cc, sch, opt, packed)
 	}
-	return alignParallelOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, true)
+	return alignBlockedOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, packed)
 }
 
-func alignParallelOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
+func alignBlockedOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}

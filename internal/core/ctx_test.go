@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/alignment"
+	"repro/internal/faultpoint"
 	"repro/internal/scoring"
 	"repro/internal/seq"
 )
@@ -25,16 +26,19 @@ func TestKernelsPreCancelled(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"full", func() error { _, err := AlignFull(ctx, tr, dnaSch, Options{}); return err }},
+		{"full", func() error { _, err := AlignParallel(ctx, tr, dnaSch, Options{Workers: 1}); return err }},
 		{"parallel", func() error { _, err := AlignParallel(ctx, tr, dnaSch, Options{}); return err }},
-		{"linear", func() error { _, err := AlignLinear(ctx, tr, dnaSch, Options{}); return err }},
+		{"linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{Workers: 1}); return err }},
 		{"parallel-linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{}); return err }},
 		{"diagonal", func() error { _, err := AlignDiagonal(ctx, tr, dnaSch, Options{}); return err }},
-		{"pruned", func() error { _, _, err := AlignPruned(ctx, tr, dnaSch, Options{}, -1000); return err }},
+		{"pruned", func() error {
+			_, _, err := AlignPrunedParallel(ctx, tr, dnaSch, Options{Workers: 1}, -1000)
+			return err
+		}},
 		{"pruned-parallel", func() error { _, _, err := AlignPrunedParallel(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"bounded", func() error { _, _, err := AlignBounded(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"astar", func() error { _, _, err := AlignAStar(ctx, tr, dnaSch, Options{}, -1000); return err }},
-		{"affine", func() error { _, err := AlignAffine(ctx, tr, affSch, Options{}); return err }},
+		{"affine", func() error { _, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1}); return err }},
 		{"affine-linear", func() error { _, err := AlignAffineLinear(ctx, tr, affSch, Options{}); return err }},
 		{"affine-parallel", func() error { _, err := AlignAffineParallel(ctx, tr, affSch, Options{}); return err }},
 		{"score", func() error { _, err := Score(ctx, tr, dnaSch, Options{}); return err }},
@@ -62,7 +66,7 @@ func TestKernelMidPlaneCancel(t *testing.T) {
 	var err error
 	go func() {
 		defer close(done)
-		aln, err = AlignFull(ctx, tr, dnaSch, Options{})
+		aln, err = AlignParallel(ctx, tr, dnaSch, Options{Workers: 1})
 	}()
 	cancel()
 	<-done
@@ -75,5 +79,66 @@ func TestKernelMidPlaneCancel(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want wrapped context.Canceled", err)
+	}
+}
+
+// pollCancelCtx reports context.Canceled from its Err method once it has
+// been polled more than live times: a cancellation that lands at an exact,
+// reproducible point of a kernel's polling sequence.
+type pollCancelCtx struct {
+	context.Context
+	live  int
+	polls int
+}
+
+func (c *pollCancelCtx) Err() error {
+	c.polls++
+	if c.polls > c.live {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestOneWorkerCancelWithinOnePlane pins the cancellation granularity of
+// the one-worker schedule: the blocked kernels fill whole i-planes and poll
+// the context before each one, so a cancellation observed at a poll stops
+// the fill before another plane starts. The core.fill.block point, armed
+// in "off" mode, counts the planes that were filled.
+func TestOneWorkerCancelWithinOnePlane(t *testing.T) {
+	tr := relatedTriple(93, 60, 0.2)
+	affSch, err := scoring.DNADefault().WithGaps(-4, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(faultpoint.Reset)
+	for name, run := range map[string]func(context.Context) error{
+		"full-packed": func(ctx context.Context) error {
+			_, err := AlignParallelPacked(ctx, tr, dnaSch, Options{Workers: 1})
+			return err
+		},
+		"affine": func(ctx context.Context) error {
+			_, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1})
+			return err
+		},
+	} {
+		for _, live := range []int{1, 5, 20} {
+			if err := faultpoint.Arm("core.fill.block", "off"); err != nil {
+				t.Fatal(err)
+			}
+			ctx := &pollCancelCtx{Context: context.Background(), live: live}
+			err := run(ctx)
+			planes, _ := faultpoint.Stats("core.fill.block")
+			faultpoint.Reset()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s live=%d: err = %v, want wrapped context.Canceled", name, live, err)
+			}
+			// The kernel's entry check takes one poll and each plane after
+			// it one more, so exactly live-1 planes run; one more would
+			// still be within a plane of the cancellation.
+			if planes < int64(live)-1 || planes > int64(live) {
+				t.Fatalf("%s live=%d: %d planes filled, want %d (at most one past the cancellation)",
+					name, live, planes, live-1)
+			}
+		}
 	}
 }

@@ -17,7 +17,7 @@ func TestAlignDiagonalEqualsFull(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 8+rng.Intn(20), 0.2)
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func TestAlignDiagonalEmptyShapes(t *testing.T) {
 		{"", "", ""}, {"ACGT", "", ""}, {"", "AC", "GT"}, {"A", "C", "G"},
 	} {
 		tr := dnaTriple(t, s[0], s[1], s[2])
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 8; trial++ {
 		tr := relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.15)
-		seqAln, seqStats, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+		seqAln, seqStats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
 
 func TestAlignPrunedParallelWithHeuristicBound(t *testing.T) {
 	tr := relatedTriple(71, 40, 0.1)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestLongSequencesLinearSpace(t *testing.T) {
 	checkAlignment(t, lin, dnaSch)
 
 	// Independent cross-check with a completely different strategy.
-	pruned, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	pruned, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestLongSequencesBandedFastPath(t *testing.T) {
 		t.Skip("long-input integration test")
 	}
 	tr := relatedTriple(2027, 200, 0.03)
-	ref, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	ref, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,11 +207,10 @@ func planeSweep(ctx context.Context, ca, cb, cc []int8, sch *scoring.Scheme, wor
 
 // hctx carries the recursion-invariant state of a Hirschberg run.
 type hctx struct {
-	sch      *scoring.Scheme
-	derived  *scoring.Scheme
-	workers  int
-	tj, tk   int // plane-sweep tile edges
-	parallel bool
+	sch     *scoring.Scheme
+	derived *scoring.Scheme
+	workers int
+	tj, tk  int // plane-sweep tile edges
 	// spawn is the remaining budget of concurrent recursive branches; it
 	// bounds goroutine fan-out without a global queue.
 	spawn atomic.Int32
@@ -257,7 +256,7 @@ func (h *hctx) rec(ctx context.Context, ca, cb, cc []int8) ([]alignment.Move, er
 	rca, rcb, rcc := reverseCodesArena(ca[mid:]), reverseCodesArena(cb), reverseCodesArena(cc)
 	var fwd, bwdRev *mat.Plane
 	var errF, errB error
-	if h.parallel {
+	if h.workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -303,7 +302,7 @@ func (h *hctx) rec(ctx context.Context, ca, cb, cc []int8) ([]alignment.Move, er
 
 	var left, right []alignment.Move
 	var errL, errR error
-	if h.parallel && h.spawn.Add(-1) >= 0 {
+	if h.workers > 1 && h.spawn.Add(-1) >= 0 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
@@ -337,7 +336,14 @@ func reverseCodesArena(s []int8) []int8 {
 	return out
 }
 
-func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, parallel bool) (*alignment.Alignment, error) {
+// AlignParallelLinear computes the same optimum as AlignParallel with the
+// 3D Hirschberg divide-and-conquer, using O(len(B)·len(C)) working memory.
+// With Options.Workers > 1 every plane sweep runs a 2D blocked wavefront,
+// the forward and backward sweeps of a split run concurrently, and
+// independent sub-problems are solved concurrently; one worker runs the
+// plain sequential recursion (the public "linear" alias). The context is
+// polled at every plane boundary and recursion step.
+func AlignParallelLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
@@ -346,10 +352,9 @@ func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 		return nil, fmt.Errorf("%w: need %d bytes, cap %d", ErrTooLarge, LinearBytes(tr), opt.maxBytes())
 	}
 	h := &hctx{
-		sch:      sch,
-		derived:  derivePairScheme(sch),
-		workers:  opt.workers(),
-		parallel: parallel,
+		sch:     sch,
+		derived: derivePairScheme(sch),
+		workers: opt.workers(),
 	}
 	// 8 bytes per cell: the sweep reads the previous plane and writes the
 	// current one, two 4-byte lattice slabs per tile.
@@ -365,17 +370,4 @@ func alignHirschberg(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, op
 	}
 	aln.Score = aln.SPScore(sch)
 	return aln, nil
-}
-
-// AlignLinear computes the same optimum as AlignFull with the 3D Hirschberg
-// divide-and-conquer, using O(len(B)·len(C)) working memory. The context
-// is polled at every plane boundary and recursion step.
-func AlignLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignHirschberg(ctx, tr, sch, opt, false)
-}
-
-// AlignParallelLinear is AlignLinear with parallel plane sweeps (2D blocked
-// wavefronts) and concurrent independent sub-problems.
-func AlignParallelLinear(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignHirschberg(ctx, tr, sch, opt, true)
 }

@@ -159,31 +159,31 @@ func TestFillPlaneRangePackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedAlignersMatchFull pins the packed public aligners — at both
-// negotiated widths — to AlignFull's score and moves, across worker counts.
+// TestPackedAlignersMatchFull pins the packed public aligner — at both
+// negotiated widths — to the scalar one-worker fill's score and moves,
+// across worker counts.
 func TestPackedAlignersMatchFull(t *testing.T) {
 	ctx := context.Background()
 	sch := scoring.DNADefault()
 	withLaneAsm(t, func(t *testing.T) {
 		for _, shape := range packedShapes {
 			tr := diffTriple(sch, 11000+int64(shape[0]+shape[2]), shape[0], shape[1], shape[2])
-			full, err := AlignFull(ctx, tr, sch, Options{})
+			full, err := AlignParallel(ctx, tr, sch, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, width := range []int{0, 16} {
-				opt := Options{CellWidth: width}
-				packed, err := AlignFullPacked(ctx, tr, sch, opt)
+				packed, err := AlignParallelPacked(ctx, tr, sch, Options{CellWidth: width, Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if packed.Score != full.Score {
-					t.Fatalf("shape %v width %d: AlignFullPacked score %d, AlignFull %d",
+					t.Fatalf("shape %v width %d: one-worker AlignParallelPacked score %d, AlignParallel %d",
 						shape, width, packed.Score, full.Score)
 				}
 				for i := range packed.Moves {
 					if packed.Moves[i] != full.Moves[i] {
-						t.Fatalf("shape %v width %d: AlignFullPacked move %d = %v, AlignFull %v",
+						t.Fatalf("shape %v width %d: one-worker AlignParallelPacked move %d = %v, AlignParallel %v",
 							shape, width, i, packed.Moves[i], full.Moves[i])
 					}
 				}
@@ -193,12 +193,12 @@ func TestPackedAlignersMatchFull(t *testing.T) {
 						t.Fatal(err)
 					}
 					if par.Score != full.Score {
-						t.Fatalf("shape %v width %d w=%d: AlignParallelPacked score %d, AlignFull %d",
+						t.Fatalf("shape %v width %d w=%d: AlignParallelPacked score %d, one-worker AlignParallel %d",
 							shape, width, w, par.Score, full.Score)
 					}
 					for i := range par.Moves {
 						if par.Moves[i] != full.Moves[i] {
-							t.Fatalf("shape %v width %d w=%d: AlignParallelPacked move %d = %v, AlignFull %v",
+							t.Fatalf("shape %v width %d w=%d: AlignParallelPacked move %d = %v, one-worker AlignParallel %v",
 								shape, width, w, i, par.Moves[i], full.Moves[i])
 						}
 					}

@@ -167,10 +167,17 @@ func prunedBoundaryJ0(t *mat.Tensor3, bc *boundCtx, ge2 mat.Score, i int, acRow 
 	return evaluated
 }
 
-// AlignPrunedParallel combines Carrillo–Lipman pruning with the blocked
-// wavefront schedule: the paper's parallel algorithm evaluating only the
-// admissible region. The evaluated-cell count is identical to AlignPruned
-// (the bound is deterministic); only the schedule differs.
+// AlignPrunedParallel computes the same optimum as AlignParallel but
+// evaluates only the Carrillo–Lipman admissible region: cell (i, j, k) is
+// skipped when the sum of the three pairwise forward and backward
+// projection bounds cannot reach the lower bound L. L defaults to the
+// TrivialAlignment score; pass a tighter valid lower bound (any real
+// alignment's SP score, e.g. from a heuristic) to prune more aggressively.
+// Passing an L greater than the optimum is invalid and yields an error or a
+// sub-optimal result. The admissible region is filled on the blocked
+// wavefront — whole i-planes in order at one worker (the public "pruned"
+// alias) — and the evaluated-cell count is the same at every worker count
+// (the bound is deterministic; only the schedule differs).
 func AlignPrunedParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, lower ...mat.Score) (*alignment.Alignment, PruneStats, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {

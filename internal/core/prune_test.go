@@ -17,7 +17,7 @@ func TestTrivialAlignmentValid(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkAlignment(t, aln, dnaSch)
-		opt, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		opt, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,11 +36,11 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 		} else {
 			tr = relatedTriple(rng.Int63(), 10+rng.Intn(20), 0.15)
 		}
-		ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+		ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, stats, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+		aln, stats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -59,15 +59,15 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 
 func TestAlignPrunedTighterBoundPrunesMore(t *testing.T) {
 	tr := relatedTriple(9, 50, 0.1)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, loose, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	_, loose, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alnTight, tight, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, ref.Score)
+	alnTight, tight, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 	// is passed as the bound, as the paper's Carrillo–Lipman setup does
 	// with a good heuristic.
 	tr := relatedTriple(77, 60, 0.05)
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, ref.Score)
+	_, stats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 func TestAlignPrunedIgnoresWeakerProvidedBound(t *testing.T) {
 	tr := relatedTriple(8, 20, 0.2)
 	// A hugely negative provided bound must not weaken the built-in one.
-	_, withWeak, err := AlignPruned(context.Background(), tr, dnaSch, Options{}, -1<<20)
+	_, withWeak, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, -1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	_, base, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestPruneStatsFraction(t *testing.T) {
 
 func TestAlignPrunedEmptySequences(t *testing.T) {
 	tr := dnaTriple(t, "", "ACG", "AG")
-	ref, err := AlignFull(context.Background(), tr, dnaSch, Options{})
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, _, err := AlignPruned(context.Background(), tr, dnaSch, Options{})
+	aln, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

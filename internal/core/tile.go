@@ -65,10 +65,13 @@ func blocksAlong(n, tile int) int {
 // single linear-gap tensor, 28 for the seven affine-gap tensors). The k
 // edge is stretched along the unit-stride axis; the i and j edges are sized
 // to an L2 working-set budget and then shrunk until the i×j block grid
-// offers at least 2×workers lanes of parallelism.
+// offers at least 2×workers lanes of parallelism. One worker (or a
+// non-positive count) gets the whole-plane tiling (1, nj, nk): with no
+// wavefront to feed, the plain plane-by-plane fill keeps every k lane
+// unbroken and pays one block dispatch per i-plane.
 func AdaptiveTileDims(ni, nj, nk, workers, bytesPerCell int) (ti, tj, tk int) {
-	if workers <= 0 {
-		workers = 1
+	if workers <= 1 {
+		return 1, max(nj, 1), max(nk, 1)
 	}
 	if bytesPerCell <= 0 {
 		bytesPerCell = 4

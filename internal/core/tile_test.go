@@ -23,8 +23,8 @@ func TestAdaptiveTileDimsShortK(t *testing.T) {
 }
 
 func TestAdaptiveTileDimsAffineSmaller(t *testing.T) {
-	li, lj, _ := AdaptiveTileDims(512, 512, 512, 1, 4)
-	ai, aj, _ := AdaptiveTileDims(512, 512, 512, 1, 28)
+	li, lj, _ := AdaptiveTileDims(512, 512, 512, 2, 4)
+	ai, aj, _ := AdaptiveTileDims(512, 512, 512, 2, 28)
 	if ai*aj > li*lj {
 		t.Fatalf("affine cross-section %dx%d exceeds linear %dx%d despite 7x cell cost",
 			ai, aj, li, lj)
@@ -37,6 +37,18 @@ func TestAdaptiveTileDimsFeedsWorkers(t *testing.T) {
 		lanes := blocksAlong(400, ti) * blocksAlong(400, tj)
 		if lanes < 2*w && (ti > tileMinEdge || tj > tileMinEdge) {
 			t.Fatalf("workers=%d: %d i×j lanes from %dx%d tiles, want >= %d", w, lanes, ti, tj, 2*w)
+		}
+	}
+}
+
+func TestAdaptiveTileDimsOneWorkerWholePlane(t *testing.T) {
+	for _, c := range [][3]int{{97, 97, 97}, {513, 33, 700}, {1, 1, 1}, {5, 0, 5}} {
+		for _, w := range []int{1, 0, -3} {
+			ti, tj, tk := AdaptiveTileDims(c[0], c[1], c[2], w, 4)
+			if ti != 1 || tj != max(c[1], 1) || tk != max(c[2], 1) {
+				t.Fatalf("dims %v workers=%d: tile %dx%dx%d, want the whole-plane 1x%dx%d",
+					c, w, ti, tj, tk, max(c[1], 1), max(c[2], 1))
+			}
 		}
 	}
 }

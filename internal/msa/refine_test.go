@@ -32,7 +32,7 @@ func TestRefineNeverWorsensAndStaysBounded(t *testing.T) {
 		if got := refined.SPScore(dnaSch); got != refined.Score {
 			t.Fatalf("trial %d: reported %d, recomputed %d", trial, refined.Score, got)
 		}
-		opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+		opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestRefineFixedPointOnOptimal(t *testing.T) {
 	// Refining an exact optimum cannot change its score.
 	g := seq.NewGenerator(seq.DNA, 601)
 	tr := g.RelatedTriple(30, seq.Uniform(0.2))
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestCenterStarRefined(t *testing.T) {
 		t.Fatalf("CenterStarRefined %d below CenterStar %d", csr.Score, cs.Score)
 	}
 	// And it still serves as a pruning bound.
-	aln, _, err := core.AlignPruned(context.Background(), tr, dnaSch, core.Options{}, csr.Score)
+	aln, _, err := core.AlignPrunedParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1}, csr.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := core.AlignFull(context.Background(), tr, dnaSch, core.Options{})
+	opt, err := core.AlignParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,10 +157,13 @@ type Request struct {
 	Shape Shape
 	// Gap is the scheme's gap model; zero means GapLinear.
 	Gap GapModel
-	// Algorithm is the requested kernel name; empty means automatic
-	// selection by gap model, parallelism, and budget.
+	// Algorithm is the requested kernel name or alias; empty means
+	// automatic selection by gap model and budget.
 	Algorithm string
 	// Workers is the requested pool size; non-positive means GOMAXPROCS.
+	// The resolved count is the planner's only parallelism input: it sets
+	// the tiling (whole i-planes at one worker), the rate row, and the
+	// bounded-search frontier choice.
 	Workers int
 	// BlockSize is an explicit cubic tile override for blocked kernels;
 	// non-positive means the adaptive heuristic picks the shape.
@@ -174,9 +177,6 @@ type Request struct {
 	// planner downgrades along the space-class ladder until the estimated
 	// footprint fits, instead of rejecting.
 	MaxMemoryBytes int64
-	// Parallel selects the intra-alignment parallel variants on automatic
-	// requests (false when an outer batch supplies the parallelism).
-	Parallel bool
 	// MaxAbsColumn bounds the absolute SP score of a single alignment
 	// column under the request's scheme (core.MaxAbsColumn). Together with
 	// the shape it lets the planner negotiate the lattice cell width: when
@@ -198,13 +198,17 @@ type Request struct {
 // predicted footprint of the run. It is attached to every Result and
 // served verbatim by alignd's POST /v1/plan.
 type ExecutionPlan struct {
-	// Algorithm is the kernel the plan selects.
+	// Algorithm is the kernel the plan selects, under the name the request
+	// used for it: an explicit alias ("full") is echoed rather than
+	// replaced by its kernel's name ("parallel").
 	Algorithm string `json:"algorithm"`
-	// Workers is the pool size the kernel will use (1 for sequential
-	// kernels regardless of the request).
+	// Workers is the pool size the kernel will use: the resolved request
+	// worker count for kernels that run on the wavefront pool, 1 for those
+	// that cannot use it (A*, the affine Hirschberg, the heuristics).
 	Workers int `json:"workers"`
-	// TileDims is the blocked-wavefront tile shape (ti, tj, tk); all-zero
-	// for kernels that do not run the blocked 3D schedule.
+	// TileDims is the blocked-wavefront tile shape (ti, tj, tk) — the
+	// whole-plane (1, nb+1, nc+1) at one worker; all-zero for kernels that
+	// do not run the blocked 3D schedule.
 	TileDims [3]int `json:"tile_dims"`
 	// EstCells is the predicted DP cell count (saturating). For the
 	// bounded-search kernels this is the predicted *evaluated* count — the
@@ -265,15 +269,27 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 		}
 		spec = s
 	} else {
-		spec, downgrades = autoSpec(req, gap, autoBudget(req))
+		spec, downgrades = autoSpec(req, gap, workers, autoBudget(req))
+	}
+	// name is the plan's public name for spec. A request made under an
+	// alias stays among the aliases as it walks down the ladder, so an
+	// over-budget "full" reads "full→linear".
+	name := spec.Name
+	if req.Algorithm != "" {
+		name = req.Algorithm
+	}
+	down := func(to *KernelSpec, why string) {
+		toName := to.Name
+		if name != spec.Name && len(to.Aliases) > 0 {
+			toName = to.Aliases[0]
+		}
+		downgrades = append(downgrades, name+"→"+toName+": "+why)
+		spec, name = to, toName
 	}
 
 	if fpDowngrade.Fire() {
 		if next := spec.Downgrade; next != "" {
-			to := kernels[next]
-			downgrades = append(downgrades,
-				spec.Name+"→"+to.Name+": forced by fault point plan.downgrade")
-			spec = to
+			down(kernels[next], "forced by fault point plan.downgrade")
 		}
 	}
 
@@ -289,10 +305,9 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 			// heuristic: when the request carries an identity-probe
 			// prediction and the predicted band fits, the ladder lands on a
 			// still-exact, still-traceback kernel.
-			if cand := boundedCandidate(req, gap); cand != nil &&
+			if cand := boundedCandidate(req, gap, workers); cand != nil &&
 				cand.Space < spec.Space && planEstBytes(cand, req) <= budget {
-				downgrades = append(downgrades, downgradeEntry(spec, cand, req, budget))
-				spec = cand
+				down(cand, overBudget(spec, req, budget))
 				continue
 			}
 			next := spec.Downgrade
@@ -300,20 +315,18 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 				if !spec.Exact {
 					return nil, nil, fmt.Errorf(
 						"plan: no kernel fits the %s memory budget (cheapest %q needs %s): %w",
-						fmtBytes(budget), spec.Name, fmtBytes(planEstBytes(spec, req)), core.ErrTooLarge)
+						fmtBytes(budget), name, fmtBytes(planEstBytes(spec, req)), core.ErrTooLarge)
 				}
 				next = lastResort
 				degraded = true
 			}
-			to := kernels[next]
-			downgrades = append(downgrades, downgradeEntry(spec, to, req, budget))
-			spec = to
+			down(kernels[next], overBudget(spec, req, budget))
 		}
 	}
 
 	width := negotiatedWidth(spec, req)
 	pl := &ExecutionPlan{
-		Algorithm:     spec.Name,
+		Algorithm:     name,
 		Workers:       1,
 		EstCells:      planEstCells(spec, req),
 		EstBytes:      planEstBytes(spec, req),
@@ -394,12 +407,11 @@ func planEstCells(spec *KernelSpec, req Request) uint64 {
 // predictedDuration is the wall-clock estimate automatic selection
 // compares kernels by: predicted cells over the calibrated rate at the
 // worker count the kernel would actually use.
-func predictedDuration(spec *KernelSpec, req Request) time.Duration {
-	w := 1
-	if spec.Parallel {
-		w = wavefront.Workers(req.Workers)
+func predictedDuration(spec *KernelSpec, req Request, workers int) time.Duration {
+	if !spec.Parallel {
+		workers = 1
 	}
-	return estDuration(planEstCells(spec, req), rateFor(spec, w))
+	return estDuration(planEstCells(spec, req), rateFor(spec, workers))
 }
 
 // autoBudget is the byte limit automatic selection steers against: the
@@ -417,32 +429,24 @@ func autoBudget(req Request) uint64 {
 }
 
 // autoSpec picks the kernel for an automatic request: the gap model's
-// primary (parallel or sequential per the split), downgraded once to its
-// linear-space sibling when the primary's lattice exceeds the budget —
-// the selection rule the old resolveAlgorithm switch hard-coded. Linear-gap
-// requests get the lane-packed primaries; they compute the same optimum as
-// the legacy kernels on a several-times-faster interior.
-func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []string) {
-	var primary string
-	switch {
-	case gap == GapAffine && req.Parallel:
-		primary = "affine-parallel"
-	case gap == GapAffine:
-		primary = "affine"
-	case req.Parallel:
-		primary = "parallel-packed"
-	default:
-		primary = "full-packed"
+// blocked primary — the lane-packed fill for linear gaps, the seven-state
+// fill for affine ones, at every worker count — downgraded once to its
+// linear-space sibling when the primary's lattice exceeds the budget. A
+// fitting Carrillo–Lipman candidate takes the slot when it is predicted
+// faster, or when the primary does not fit.
+func autoSpec(req Request, gap GapModel, workers int, budget uint64) (*KernelSpec, []string) {
+	spec := kernels["parallel-packed"]
+	if gap == GapAffine {
+		spec = kernels["affine-parallel"]
 	}
-	spec := kernels[primary]
-	cand := boundedCandidate(req, gap)
+	cand := boundedCandidate(req, gap, workers)
 	if planEstBytes(spec, req) <= budget {
 		// The primary fits; the Carrillo–Lipman band still wins the slot
 		// when the identity probe predicts it strictly faster — evaluating
 		// a thin admissible band beats filling the whole lattice even at a
 		// lower per-cell rate.
 		if cand != nil && planEstBytes(cand, req) <= budget &&
-			predictedDuration(cand, req) < predictedDuration(spec, req) {
+			predictedDuration(cand, req, workers) < predictedDuration(spec, req, workers) {
 			return cand, nil
 		}
 		return spec, nil
@@ -459,8 +463,12 @@ func autoSpec(req Request, gap GapModel, budget uint64) (*KernelSpec, []string) 
 
 // downgradeEntry formats one ladder step for ExecutionPlan.Downgrades.
 func downgradeEntry(from, to *KernelSpec, req Request, budget uint64) string {
-	return fmt.Sprintf("%s→%s: est %s over %s budget",
-		from.Name, to.Name, fmtBytes(planEstBytes(from, req)), fmtBytes(budget))
+	return from.Name + "→" + to.Name + ": " + overBudget(from, req, budget)
+}
+
+// overBudget is the reason a budget-driven downgrade records for spec.
+func overBudget(spec *KernelSpec, req Request, budget uint64) string {
+	return fmt.Sprintf("est %s over %s budget", fmtBytes(planEstBytes(spec, req)), fmtBytes(budget))
 }
 
 // ParseDowngrade splits a Downgrades entry back into the kernel names it

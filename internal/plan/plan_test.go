@@ -10,12 +10,25 @@ import (
 	"repro/internal/core"
 )
 
-// TestRegistryComplete pins the registry to the public algorithm list: 17
-// kernels, each with a working estimator and a run function.
+// TestRegistryComplete pins the registry to the public algorithm list: 12
+// kernels under 17 names (five folded sequential twins survive as
+// aliases), each with a working estimator and a run function.
 func TestRegistryComplete(t *testing.T) {
 	ks := Kernels()
-	if len(ks) != 17 {
-		t.Fatalf("registry has %d kernels, want 17", len(ks))
+	if len(ks) != 12 {
+		t.Fatalf("registry has %d kernels, want 12", len(ks))
+	}
+	names := 0
+	for _, k := range ks {
+		for _, name := range append([]string{k.Name}, k.Aliases...) {
+			if got, ok := Lookup(name); !ok || got != k {
+				t.Errorf("Lookup(%q) = %v, %v; want the %s spec", name, got, ok, k.Name)
+			}
+			names++
+		}
+	}
+	if names != 17 {
+		t.Fatalf("registry answers to %d names, want 17", names)
 	}
 	s := Shape{NA: 10, NB: 11, NC: 12}
 	for _, k := range ks {
@@ -34,6 +47,9 @@ func TestRegistryComplete(t *testing.T) {
 		if _, ok := Calibration[k.RateKey]; !ok {
 			t.Errorf("%s: rate key %q not in the calibration table", k.Name, k.RateKey)
 		}
+		if _, ok := Calibration[k.SoloRateKey]; !ok && k.SoloRateKey != "" {
+			t.Errorf("%s: solo rate key %q not in the calibration table", k.Name, k.SoloRateKey)
+		}
 	}
 }
 
@@ -48,13 +64,16 @@ func TestRegistryComplete(t *testing.T) {
 //     internally consistent (each step starts where the previous ended),
 //     and ends at the planned kernel.
 func TestPlannerProperties(t *testing.T) {
-	prop := func(na, nb, nc uint16, budgetUnits uint32, affine, parallel, explicit bool) bool {
+	prop := func(na, nb, nc uint16, budgetUnits uint32, affine, oneWorker, explicit bool) bool {
 		shape := Shape{NA: int(na % 512), NB: int(nb % 512), NC: int(nc % 512)}
 		gap := GapLinear
 		if affine {
 			gap = GapAffine
 		}
-		req := Request{Shape: shape, Gap: gap, Parallel: parallel}
+		req := Request{Shape: shape, Gap: gap, Workers: 4}
+		if oneWorker {
+			req.Workers = 1
+		}
 		if explicit {
 			req.Algorithm = "full"
 		}
@@ -68,7 +87,7 @@ func TestPlannerProperties(t *testing.T) {
 			// way 413 mapping can see.
 			return req.MaxMemoryBytes > 0 && errors.Is(err, core.ErrTooLarge)
 		}
-		if pl.Algorithm != spec.Name {
+		if named, ok := Lookup(pl.Algorithm); !ok || named != spec {
 			return false
 		}
 		// (1) gap-model support for automatic selection.
@@ -126,7 +145,7 @@ func TestShapeOverflowSaturates(t *testing.T) {
 	}
 
 	// Without a budget the plan must carry the saturated estimates.
-	pl, _, err := Resolve(Request{Shape: huge, Parallel: true})
+	pl, _, err := Resolve(Request{Shape: huge})
 	if err != nil {
 		t.Fatalf("Resolve(huge): %v", err)
 	}
@@ -139,7 +158,7 @@ func TestShapeOverflowSaturates(t *testing.T) {
 
 	// With a budget, no kernel fits a saturated estimate: the planner must
 	// reject with ErrTooLarge — never admit via wraparound.
-	_, _, err = Resolve(Request{Shape: huge, Parallel: true, MaxMemoryBytes: 1 << 30})
+	_, _, err = Resolve(Request{Shape: huge, MaxMemoryBytes: 1 << 30})
 	if !errors.Is(err, core.ErrTooLarge) {
 		t.Fatalf("Resolve(huge, budget) err = %v, want ErrTooLarge", err)
 	}
@@ -147,7 +166,8 @@ func TestShapeOverflowSaturates(t *testing.T) {
 
 // TestAutoMatchesLegacyHeuristic pins automatic selection to the decision
 // table of the old resolveAlgorithm switch in tsa.go, updated deliberately
-// for the lane-packed linear-gap primaries.
+// for the lane-packed linear-gap primaries and for the folded twins: one
+// blocked kernel per gap model at every worker count.
 func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 	small := Shape{NA: 10, NB: 10, NC: 10}
 	big := Shape{NA: 200, NB: 200, NC: 200} // full lattice ≈ 32 MiB
@@ -155,21 +175,21 @@ func TestAutoMatchesLegacyHeuristic(t *testing.T) {
 		name     string
 		shape    Shape
 		gap      GapModel
-		parallel bool
+		workers  int
 		maxBytes int64
 		want     string
 	}{
-		{"linear-parallel", small, GapLinear, true, 0, "parallel-packed"},
-		{"linear-sequential", small, GapLinear, false, 0, "full-packed"},
-		{"affine-parallel", small, GapAffine, true, 0, "affine-parallel"},
-		{"affine-sequential", small, GapAffine, false, 0, "affine"},
-		{"capped-linear-parallel", big, GapLinear, true, 1 << 20, "parallel-linear"},
-		{"capped-linear-sequential", big, GapLinear, false, 1 << 20, "linear"},
-		{"capped-affine", big, GapAffine, true, 1 << 20, "affine-linear"},
-		{"capped-affine-sequential", big, GapAffine, false, 1 << 20, "affine-linear"},
+		{"linear-parallel", small, GapLinear, 4, 0, "parallel-packed"},
+		{"linear-sequential", small, GapLinear, 1, 0, "parallel-packed"},
+		{"affine-parallel", small, GapAffine, 4, 0, "affine-parallel"},
+		{"affine-sequential", small, GapAffine, 1, 0, "affine-parallel"},
+		{"capped-linear-parallel", big, GapLinear, 4, 1 << 20, "parallel-linear"},
+		{"capped-linear-sequential", big, GapLinear, 1, 1 << 20, "parallel-linear"},
+		{"capped-affine", big, GapAffine, 4, 1 << 20, "affine-linear"},
+		{"capped-affine-sequential", big, GapAffine, 1, 1 << 20, "affine-linear"},
 	}
 	for _, tc := range cases {
-		pl, _, err := Resolve(Request{Shape: tc.shape, Gap: tc.gap, Parallel: tc.parallel, MaxBytes: tc.maxBytes})
+		pl, _, err := Resolve(Request{Shape: tc.shape, Gap: tc.gap, Workers: tc.workers, MaxBytes: tc.maxBytes})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -195,7 +215,7 @@ func TestBudgetLadder(t *testing.T) {
 	}
 
 	// Budget between planes and pairs: the exact linear-space kernel fits.
-	pl, _, err := Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: int64(planes) + 1024})
+	pl, _, err := Resolve(Request{Shape: shape, MaxMemoryBytes: int64(planes) + 1024})
 	if err != nil {
 		t.Fatalf("planes budget: %v", err)
 	}
@@ -209,7 +229,7 @@ func TestBudgetLadder(t *testing.T) {
 	// Budget below even the planes: nothing exact fits; an automatic
 	// request bottoms out on the degraded heuristic only if the heuristic
 	// fits, which it does not here — expect ErrTooLarge.
-	_, _, err = Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: 1024})
+	_, _, err = Resolve(Request{Shape: shape, MaxMemoryBytes: 1024})
 	if !errors.Is(err, core.ErrTooLarge) {
 		t.Fatalf("tiny budget: err = %v, want ErrTooLarge", err)
 	}
@@ -228,7 +248,7 @@ func TestLastResortHeuristic(t *testing.T) {
 		t.Fatalf("shape does not order pairs<planes<lattice: %d %d %d", pairs, planes, lattice)
 	}
 	budget := int64(pairs) + 1024
-	pl, spec, err := Resolve(Request{Shape: shape, Parallel: true, MaxMemoryBytes: budget})
+	pl, spec, err := Resolve(Request{Shape: shape, MaxMemoryBytes: budget})
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
@@ -247,16 +267,19 @@ func TestLastResortHeuristic(t *testing.T) {
 }
 
 // TestExplicitAlgorithmIdentity pins explicit requests: without a budget
-// the planner never substitutes, whatever the shape.
+// the planner never substitutes, whatever the shape, and a plan echoes the
+// name — canonical or alias — the request used.
 func TestExplicitAlgorithmIdentity(t *testing.T) {
 	shape := Shape{NA: 300, NB: 300, NC: 300}
 	for _, k := range Kernels() {
-		pl, _, err := Resolve(Request{Shape: shape, Algorithm: k.Name, Parallel: true})
-		if err != nil {
-			t.Fatalf("%s: %v", k.Name, err)
-		}
-		if pl.Algorithm != k.Name || len(pl.Downgrades) != 0 {
-			t.Errorf("%s: planned %s with downgrades %v", k.Name, pl.Algorithm, pl.Downgrades)
+		for _, name := range append([]string{k.Name}, k.Aliases...) {
+			pl, spec, err := Resolve(Request{Shape: shape, Algorithm: name})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if pl.Algorithm != name || spec != k || len(pl.Downgrades) != 0 {
+				t.Errorf("%s: planned %s (spec %s) with downgrades %v", name, pl.Algorithm, spec.Name, pl.Downgrades)
+			}
 		}
 	}
 	if _, _, err := Resolve(Request{Shape: shape, Algorithm: "nonsense"}); err == nil {
@@ -303,7 +326,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 	// Thin band, everything fits: bounded is predicted faster than the
 	// packed lattice primary (0.05·cells at the bounded rate beats the full
 	// lattice even at the packed kernels' higher per-cell rate).
-	pl, spec, err := Resolve(Request{Shape: big, Parallel: true, EvalFraction: 0.05})
+	pl, spec, err := Resolve(Request{Shape: big, Workers: 4, EvalFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +347,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 
 	// No prediction: the legacy primary keeps the slot and no evaluated-cell
 	// estimate is surfaced.
-	pl, _, err = Resolve(Request{Shape: big, Parallel: true})
+	pl, _, err = Resolve(Request{Shape: big, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +358,7 @@ func TestBoundedAutoSelection(t *testing.T) {
 
 	// Short triple: band planning is pure overhead below MinBoundedLen.
 	small := Shape{NA: 96, NB: 96, NC: 96}
-	pl, _, err = Resolve(Request{Shape: small, Parallel: true, EvalFraction: 0.05})
+	pl, _, err = Resolve(Request{Shape: small, Workers: 4, EvalFraction: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,11 +366,11 @@ func TestBoundedAutoSelection(t *testing.T) {
 		t.Fatalf("short triple planned %s, want parallel-packed", pl.Algorithm)
 	}
 
-	// Sequential, very thin band, lattice priced out by the hard cap: the
+	// One worker, very thin band, lattice priced out by the hard cap: the
 	// A* frontier is the preferred downgrade.
 	// (24 MiB cap: prices out the ~109 MB lattice while admitting the A*
 	// node estimate — ~64 B per expanded cell at fraction 0.01 ≈ 20 MB.)
-	pl, _, err = Resolve(Request{Shape: big, EvalFraction: 0.01, MaxBytes: 24 << 20})
+	pl, _, err = Resolve(Request{Shape: big, Workers: 1, EvalFraction: 0.01, MaxBytes: 24 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,8 +380,8 @@ func TestBoundedAutoSelection(t *testing.T) {
 	if len(pl.Downgrades) != 1 {
 		t.Fatalf("expected one recorded downgrade, got %v", pl.Downgrades)
 	}
-	if from, to, ok := ParseDowngrade(pl.Downgrades[0]); !ok || from != "full-packed" || to != "astar" {
-		t.Fatalf("downgrade entry %q, want full-packed→astar", pl.Downgrades[0])
+	if from, to, ok := ParseDowngrade(pl.Downgrades[0]); !ok || from != "parallel-packed" || to != "astar" {
+		t.Fatalf("downgrade entry %q, want parallel-packed→astar", pl.Downgrades[0])
 	}
 }
 
@@ -434,5 +457,85 @@ func TestParseDowngrade(t *testing.T) {
 	}
 	if _, _, ok := ParseDowngrade("not a downgrade"); ok {
 		t.Fatal("ParseDowngrade accepted garbage")
+	}
+}
+
+// TestFoldedKernelPlans pins planning after the sequential/parallel twins
+// were folded into one blocked kernel each: the resolved worker count is
+// the only parallelism input. Automatic requests land on the canonical
+// kernel of their gap model at any worker count; one worker gets the
+// whole-plane tiling and the sequential calibration row, four workers the
+// blocked row scaled by the parallel-efficiency model; alias names are
+// echoed; and the A* frontier is the thin-band candidate exactly when one
+// worker is resolved.
+func TestFoldedKernelPlans(t *testing.T) {
+	shape := Shape{NA: 96, NB: 120, NC: 140}
+	for _, gap := range []GapModel{GapLinear, GapAffine} {
+		want, solo, blocked := "parallel-packed", "full-packed", "parallel-packed"
+		if gap == GapAffine {
+			want, solo, blocked = "affine-parallel", "affine7", "affine7"
+		}
+		for _, w := range []int{1, 4} {
+			pl, _, err := Resolve(Request{Shape: shape, Gap: gap, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Algorithm != want || pl.Workers != w {
+				t.Fatalf("%s workers=%d: planned %s on %d workers, want %s on %d",
+					gap, w, pl.Algorithm, pl.Workers, want, w)
+			}
+			rate := Calibration[solo]
+			if w > 1 {
+				rate = Calibration[blocked] * (1 + ParallelEfficiency*float64(w-1))
+			}
+			if pl.EstMcellsPerSec != rate {
+				t.Errorf("%s workers=%d: EstMcellsPerSec %v, want %v", gap, w, pl.EstMcellsPerSec, rate)
+			}
+			if w == 1 && pl.TileDims != [3]int{1, shape.NB + 1, shape.NC + 1} {
+				t.Errorf("%s one worker: tile %v, want the whole plane", gap, pl.TileDims)
+			}
+			if w > 1 && pl.TileDims[0] <= 1 && pl.TileDims[1] >= shape.NB+1 {
+				t.Errorf("%s workers=%d: tile %v is not a blocked tiling", gap, w, pl.TileDims)
+			}
+		}
+	}
+
+	// Explicit aliases: echoed by name, planned on the canonical kernel's
+	// tiling and rate at the resolved worker count.
+	for alias, canonical := range map[string]string{
+		"full": "parallel", "full-packed": "parallel-packed", "linear": "parallel-linear",
+		"pruned": "pruned-parallel", "affine": "affine-parallel",
+	} {
+		for _, w := range []int{1, 4} {
+			pl, spec, err := Resolve(Request{Shape: shape, Algorithm: alias, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _, err := Resolve(Request{Shape: shape, Algorithm: canonical, Workers: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pl.Algorithm != alias || spec.Name != canonical {
+				t.Errorf("%s workers=%d: planned %s on spec %s, want the echoed alias on %s",
+					alias, w, pl.Algorithm, spec.Name, canonical)
+			}
+			if pl.Workers != ref.Workers || pl.TileDims != ref.TileDims || pl.EstMcellsPerSec != ref.EstMcellsPerSec {
+				t.Errorf("%s workers=%d: plan %+v diverges from %s %+v", alias, w, pl, canonical, ref)
+			}
+		}
+	}
+
+	// The A* frontier is the thin-band candidate iff one worker is
+	// resolved. The hard cap prices the lattice out, so the candidate is
+	// what automatic selection lands on.
+	big := Shape{NA: 300, NB: 300, NC: 300}
+	for _, w := range []int{1, 2, 4} {
+		pl, _, err := Resolve(Request{Shape: big, Workers: w, EvalFraction: 0.01, MaxBytes: 24 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pl.Algorithm == "astar"; got != (w == 1) {
+			t.Errorf("workers=%d: planned %s; A* must be chosen iff workers == 1", w, pl.Algorithm)
+		}
 	}
 }

@@ -21,6 +21,12 @@ type RunFunc func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt c
 type KernelSpec struct {
 	// Name is the public algorithm name (repro.Algorithm value).
 	Name string
+	// Aliases are further public names that resolve to this kernel: its
+	// sequential name ("full" for "parallel", ...). A sequential fill is
+	// the blocked schedule run by one worker, so an alias runs this kernel
+	// at whatever worker count the request resolves to, and plans echo the
+	// requested name.
+	Aliases []string
 	// Gaps is the bitmask of gap models the kernel optimizes. Purely
 	// descriptive for dispatch (an explicit request runs regardless, as the
 	// old switch did), normative for automatic selection.
@@ -28,7 +34,9 @@ type KernelSpec struct {
 	// Space is the working-memory growth class; the downgrade ladder is
 	// monotone non-increasing in it.
 	Space SpaceClass
-	// Parallel reports that the kernel exploits Options.Workers.
+	// Parallel reports that the kernel exploits Options.Workers; the
+	// others (A*, the affine Hirschberg, the heuristics) always plan one
+	// worker.
 	Parallel bool
 	// Exact reports a provably optimal kernel (under its gap model), as
 	// opposed to a heuristic; only exact kernels participate in the
@@ -50,9 +58,15 @@ type KernelSpec struct {
 	// it parameterizes the adaptive tile heuristic.
 	BytesPerCell int
 	// RateKey and RateScale map the kernel onto the calibrated throughput
-	// table: predicted rate = Calibration[RateKey] × RateScale.
+	// table: predicted rate = Calibration[RateKey] × RateScale, scaled by
+	// the worker count for parallel kernels.
 	RateKey   string
 	RateScale float64
+	// SoloRateKey, when set, replaces RateKey for one-worker plans. One
+	// worker fills whole i-planes, which the benchsuite measures as the
+	// sequential row ("full-packed"), not the cache-tiled blocked row
+	// ("parallel-packed") that multi-worker predictions extrapolate from.
+	SoloRateKey string
 	// RateOnEvaluated marks the calibrated rate (and EstCellsFrac) as
 	// per-*evaluated*-cell rather than per-lattice-cell: the bounded-search
 	// kernels' throughput is measured over the cells the bound admits, so
@@ -98,13 +112,14 @@ var (
 	order   []string
 )
 
-// Lookup finds a kernel spec by algorithm name.
+// Lookup finds a kernel spec by algorithm name or alias.
 func Lookup(name string) (*KernelSpec, bool) {
 	k, ok := kernels[name]
 	return k, ok
 }
 
-// Kernels lists every registered spec in registration order.
+// Kernels lists every registered spec in registration order, once each
+// (aliases are not listed separately).
 func Kernels() []*KernelSpec {
 	out := make([]*KernelSpec, len(order))
 	for i, name := range order {
@@ -114,10 +129,12 @@ func Kernels() []*KernelSpec {
 }
 
 func register(k *KernelSpec) {
-	if _, dup := kernels[k.Name]; dup {
-		panic("plan: duplicate kernel " + k.Name)
+	for _, name := range append([]string{k.Name}, k.Aliases...) {
+		if _, dup := kernels[name]; dup {
+			panic("plan: duplicate kernel " + name)
+		}
+		kernels[name] = k
 	}
-	kernels[k.Name] = k
 	order = append(order, k.Name)
 }
 
@@ -137,28 +154,18 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 	}
 }
 
-// runPruned runs a Carrillo–Lipman kernel seeded with the
+// runPruned runs the dense Carrillo–Lipman kernel seeded with the
 // center-star-refined lower bound, surfacing its PruneStats.
-func runPruned(parallel bool) RunFunc {
-	return func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-		bound, err := msa.CenterStarRefined(tr, sch)
-		if err != nil {
-			return nil, nil, err
-		}
-		var (
-			aln *alignment.Alignment
-			st  core.PruneStats
-		)
-		if parallel {
-			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, opt, bound.Score)
-		} else {
-			aln, st, err = core.AlignPruned(ctx, tr, sch, opt, bound.Score)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return aln, &st, nil
+func runPruned(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
+	bound, err := msa.CenterStarRefined(tr, sch)
+	if err != nil {
+		return nil, nil, err
 	}
+	aln, st, err := core.AlignPrunedParallel(ctx, tr, sch, opt, bound.Score)
+	if err != nil {
+		return nil, nil, err
+	}
+	return aln, &st, nil
 }
 
 // runBounded runs a Carrillo–Lipman bounded-search kernel — the contiguous
@@ -203,46 +210,27 @@ func pairBytes(s Shape) uint64 { return mulSat(s.PairCells(), 12) }
 func pairCells(s Shape) uint64 { return s.PairCells() }
 
 func init() {
+	// Five blocked kernels also answer to a sequential name; one worker
+	// runs them plane by plane.
 	register(&KernelSpec{
-		Name: "full", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "full", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignFull),
-	})
-	register(&KernelSpec{
-		Name: "parallel", Gaps: GapLinear, Space: SpaceLattice,
+		Name: "parallel", Aliases: []string{"full"}, Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "parallel", RateScale: 1,
+		RateKey: "parallel", SoloRateKey: "full", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
 		Run: wrap(core.AlignParallel),
 	})
 	register(&KernelSpec{
-		// The lane-packed sequential fill: same lattice, same optimum, with
-		// the k-lane interior vectorized (AVX2 two-pass max-plus scan where
-		// the host has it, unrolled bounds-check-free windows elsewhere).
-		Name: "full-packed", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "full-packed", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignFullPacked),
-	})
-	register(&KernelSpec{
-		Name: "parallel-packed", Gaps: GapLinear, Space: SpaceLattice,
+		// The lane-packed fill: same lattice, same optimum, with the k-lane
+		// interior vectorized (AVX2 two-pass max-plus scan where the host
+		// has it, unrolled bounds-check-free windows elsewhere).
+		Name: "parallel-packed", Aliases: []string{"full-packed"}, Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "parallel-packed", RateScale: 1,
+		RateKey: "parallel-packed", SoloRateKey: "full-packed", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
 		Run: wrap(core.AlignParallelPacked),
 	})
 	register(&KernelSpec{
-		Name: "linear", Gaps: GapLinear, Space: SpacePlanes,
-		Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "linear", RateScale: 1,
-		EstBytes: planeBytes(16),
-		Run:      wrap(core.AlignLinear),
-	})
-	register(&KernelSpec{
-		Name: "parallel-linear", Gaps: GapLinear, Space: SpacePlanes,
+		Name: "parallel-linear", Aliases: []string{"linear"}, Gaps: GapLinear, Space: SpacePlanes,
 		Parallel: true, Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "linear", RateScale: 1,
 		EstBytes: planeBytes(16),
@@ -256,18 +244,11 @@ func init() {
 		Run: wrap(core.AlignDiagonal),
 	})
 	register(&KernelSpec{
-		Name: "pruned", Gaps: GapLinear, Space: SpaceLattice,
-		Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "pruned", RateScale: 1,
-		Downgrade: "linear", EstBytes: latticeBytes(4),
-		Run: runPruned(false),
-	})
-	register(&KernelSpec{
-		Name: "pruned-parallel", Gaps: GapLinear, Space: SpaceLattice,
+		Name: "pruned-parallel", Aliases: []string{"pruned"}, Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, BytesPerCell: 4,
 		RateKey: "pruned", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: runPruned(true),
+		Run: runPruned,
 	})
 	register(&KernelSpec{
 		// The Carrillo–Lipman contiguous band: allocates only the cells the
@@ -290,17 +271,17 @@ func init() {
 		Name: "astar", Gaps: GapLinear, Space: SpaceBand,
 		Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "astar", RateScale: 1, RateOnEvaluated: true,
-		Downgrade:    "linear",
+		Downgrade:    "parallel-linear",
 		EstBytes:     func(s Shape) uint64 { return astarBytes(s, 1) },
 		EstBytesFrac: astarBytes, EstCellsFrac: fracCells,
 		Run: runBounded(true),
 	})
 	register(&KernelSpec{
-		Name: "affine", Gaps: GapAffine, Space: SpaceLattice,
-		Exact: true, Traceback: true, BytesPerCell: 28,
+		Name: "affine-parallel", Aliases: []string{"affine"}, Gaps: GapAffine, Space: SpaceLattice,
+		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, BytesPerCell: 28,
 		RateKey: "affine7", RateScale: 1,
 		Downgrade: "affine-linear", EstBytes: latticeBytes(28),
-		Run: wrap(core.AlignAffine),
+		Run: wrap(core.AlignAffineParallel),
 	})
 	register(&KernelSpec{
 		// The affine Hirschberg halves at every level; its rate is roughly
@@ -310,13 +291,6 @@ func init() {
 		RateKey: "affine7", RateScale: 0.5,
 		EstBytes: planeBytes(112),
 		Run:      wrap(core.AlignAffineLinear),
-	})
-	register(&KernelSpec{
-		Name: "affine-parallel", Gaps: GapAffine, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, BytesPerCell: 28,
-		RateKey: "affine7", RateScale: 1,
-		Downgrade: "affine-linear", EstBytes: latticeBytes(28),
-		Run: wrap(core.AlignAffineParallel),
 	})
 	register(&KernelSpec{
 		Name: "center-star", Gaps: GapLinear | GapAffine, Space: SpacePairwise,
@@ -347,8 +321,10 @@ func init() {
 	// Resolve could cycle or dead-end on a typo; every rate key must have a
 	// calibration row, or duration predictions silently go to zero.
 	for _, k := range Kernels() {
-		if _, ok := Calibration[k.RateKey]; !ok {
-			panic("plan: " + k.Name + " has no calibration entry for rate key " + k.RateKey)
+		for _, key := range []string{k.RateKey, k.SoloRateKey} {
+			if _, ok := Calibration[key]; !ok && key != "" {
+				panic("plan: " + k.Name + " has no calibration entry for rate key " + key)
+			}
 		}
 		if k.Downgrade == "" {
 			continue

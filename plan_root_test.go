@@ -146,7 +146,12 @@ func TestPlanOrderLargestFirst(t *testing.T) {
 		return BatchItem{Triple: g.RelatedTriple(n, MutationModel{SubstitutionRate: 0.2}), Opt: Options{Scheme: sch}}
 	}
 	items := []BatchItem{mk(8), mk(64), {}, mk(32)}
-	order := planOrder(items, false)
+	opts := make([]Options, len(items))
+	for i, it := range items {
+		opts[i] = it.Opt
+		opts[i].Workers = 1
+	}
+	order := planOrder(items, opts)
 	if len(order) != len(items) {
 		t.Fatalf("order has %d entries, want %d", len(order), len(items))
 	}

@@ -19,10 +19,12 @@ import (
 )
 
 // legacyResolveAlgorithm is the pre-planner auto heuristic — updated
-// deliberately for two selection-semantics changes the planner made since:
-// linear-gap primaries are the lane-packed kernels, and the lattice
-// estimate halves when the scheme's score bound admits 16-bit cells.
-func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options, parallel bool) Algorithm {
+// deliberately for three selection-semantics changes the planner made
+// since: linear-gap primaries are the lane-packed kernels, the lattice
+// estimate halves when the scheme's score bound admits 16-bit cells, and
+// the sequential/parallel twins are folded into one blocked kernel each,
+// so the parallel branch is the only one left.
+func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options) Algorithm {
 	if opt.Algorithm != AlgorithmAuto {
 		return opt.Algorithm
 	}
@@ -36,44 +38,37 @@ func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options, parallel bool) 
 	}
 	switch {
 	case sch.Affine() && 7*core.FullMatrixBytes(tr) <= maxB:
-		if parallel {
-			return AlgorithmAffineParallel
-		}
-		return AlgorithmAffine
+		return AlgorithmAffineParallel
 	case sch.Affine():
 		return AlgorithmAffineLinear
 	case lattice <= maxB:
-		if parallel {
-			return AlgorithmParallelPacked
-		}
-		return AlgorithmFullPacked
+		return AlgorithmParallelPacked
 	default:
-		if parallel {
-			return AlgorithmParallelLinear
-		}
-		return AlgorithmLinear
+		return AlgorithmParallelLinear
 	}
 }
 
-// legacyRunAlgorithm is the pre-planner dispatch switch, verbatim.
+// legacyRunAlgorithm is the pre-planner dispatch switch, verbatim except
+// that the arms of the folded sequential twins call the blocked kernel
+// that absorbed them.
 func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Scheme, copt core.Options) (aln *Alignment, prune *PruneStats, err error) {
 	switch algo {
 	case AlgorithmFull:
-		aln, err = core.AlignFull(ctx, tr, sch, copt)
+		aln, err = core.AlignParallel(ctx, tr, sch, copt)
 	case AlgorithmFullPacked:
-		aln, err = core.AlignFullPacked(ctx, tr, sch, copt)
+		aln, err = core.AlignParallelPacked(ctx, tr, sch, copt)
 	case AlgorithmParallel:
 		aln, err = core.AlignParallel(ctx, tr, sch, copt)
 	case AlgorithmParallelPacked:
 		aln, err = core.AlignParallelPacked(ctx, tr, sch, copt)
 	case AlgorithmLinear:
-		aln, err = core.AlignLinear(ctx, tr, sch, copt)
+		aln, err = core.AlignParallelLinear(ctx, tr, sch, copt)
 	case AlgorithmParallelLinear:
 		aln, err = core.AlignParallelLinear(ctx, tr, sch, copt)
 	case AlgorithmDiagonal:
 		aln, err = core.AlignDiagonal(ctx, tr, sch, copt)
 	case AlgorithmAffine:
-		aln, err = core.AlignAffine(ctx, tr, sch, copt)
+		aln, err = core.AlignAffineParallel(ctx, tr, sch, copt)
 	case AlgorithmAffineLinear:
 		aln, err = core.AlignAffineLinear(ctx, tr, sch, copt)
 	case AlgorithmAffineParallel:
@@ -87,7 +82,7 @@ func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Sch
 		var st core.PruneStats
 		switch algo {
 		case AlgorithmPruned:
-			aln, st, err = core.AlignPruned(ctx, tr, sch, copt, bound.Score)
+			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, copt, bound.Score)
 		case AlgorithmPrunedParallel:
 			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, copt, bound.Score)
 		case AlgorithmBounded:
@@ -187,8 +182,8 @@ func TestRegistryDispatchMatchesLegacySwitch(t *testing.T) {
 	}
 }
 
-// TestPlannerAutoMatchesLegacyResolve pins automatic resolution — both
-// parallel (the Align path) and sequential (the wide-batch path) — to the
+// TestPlannerAutoMatchesLegacyResolve pins automatic resolution — at many
+// workers (the Align path) and at one (the wide-batch path) — to the
 // legacy heuristic across memory-cap scenarios.
 func TestPlannerAutoMatchesLegacyResolve(t *testing.T) {
 	g := NewGenerator(DNA, 47)
@@ -214,14 +209,16 @@ func TestPlannerAutoMatchesLegacyResolve(t *testing.T) {
 		{"big-affine-capped", big, aff, Options{Scheme: aff, MaxBytes: 4 << 20}},
 	}
 	for _, tc := range cases {
-		for _, parallel := range []bool{true, false} {
-			want := legacyResolveAlgorithm(tc.tr, tc.sch, tc.opt, parallel)
-			pl, _, err := plan.Resolve(planRequest(tc.tr, tc.sch, tc.opt, parallel))
+		for _, workers := range []int{4, 1} {
+			opt := tc.opt
+			opt.Workers = workers
+			want := legacyResolveAlgorithm(tc.tr, tc.sch, opt)
+			pl, _, err := plan.Resolve(planRequest(tc.tr, tc.sch, opt))
 			if err != nil {
-				t.Fatalf("%s/parallel=%v: %v", tc.name, parallel, err)
+				t.Fatalf("%s/workers=%d: %v", tc.name, workers, err)
 			}
 			if pl.Algorithm != string(want) {
-				t.Errorf("%s/parallel=%v: planned %s, legacy resolved %s", tc.name, parallel, pl.Algorithm, want)
+				t.Errorf("%s/workers=%d: planned %s, legacy resolved %s", tc.name, workers, pl.Algorithm, want)
 			}
 		}
 	}

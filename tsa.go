@@ -77,57 +77,72 @@ type Algorithm string
 // The available algorithms. Every linear-gap kernel through AlgorithmAStar
 // is exact (identical optimal linear-gap SP scores); the affine kernels are
 // exact under the affine objective; the last three are fast heuristics.
+//
+// Five names are aliases. AlgorithmFull, AlgorithmFullPacked,
+// AlgorithmLinear, AlgorithmPruned and AlgorithmAffine are sequential
+// names for blocked kernels; a sequential fill is the blocked wavefront
+// run by one worker, so each alias runs its blocked kernel
+// (AlgorithmParallel, AlgorithmParallelPacked, AlgorithmParallelLinear,
+// AlgorithmPrunedParallel, AlgorithmAffineParallel) at Options.Workers.
+// Results are bit-identical at every worker count, and Result.Algorithm
+// and Plan.Algorithm echo the name that was requested. Set Workers to 1
+// for a sequential run.
 const (
 	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallelPacked
-	// for linear gaps or AlgorithmAffineParallel for affine schemes, falling
-	// back to the corresponding linear-space variant when the lattice
-	// would exceed MaxBytes.
+	// for linear gaps or AlgorithmAffineParallel for affine schemes, at
+	// Options.Workers (whole i-planes in order at one worker), falling back
+	// to the corresponding linear-space variant when the lattice would
+	// exceed MaxBytes, or to bounded search when the identity probe
+	// predicts it faster.
 	AlgorithmAuto Algorithm = ""
-	// AlgorithmFull is the sequential full-matrix 3D dynamic program.
+	// AlgorithmFull is the full-matrix 3D dynamic program; an alias of
+	// AlgorithmParallel.
 	AlgorithmFull Algorithm = "full"
-	// AlgorithmFullPacked is AlgorithmFull with the lane-packed interior:
-	// the innermost k-lane runs a vectorized two-pass max-plus scan (AVX2
-	// where available, unrolled bounds-check-free Go elsewhere) and honors
-	// the planner's negotiated 16-bit cell width. Same lattice, same
-	// optimum, several times the sequential throughput.
+	// AlgorithmFullPacked is an alias of AlgorithmParallelPacked.
 	AlgorithmFullPacked Algorithm = "full-packed"
-	// AlgorithmParallel is the paper's blocked-wavefront parallel algorithm.
+	// AlgorithmParallel is the paper's blocked-wavefront algorithm over the
+	// full lattice.
 	AlgorithmParallel Algorithm = "parallel"
 	// AlgorithmParallelPacked is AlgorithmParallel with the lane-packed
-	// interior filling each wavefront tile.
+	// interior: the innermost k-lane runs a vectorized two-pass max-plus
+	// scan (AVX2 where available, unrolled bounds-check-free Go elsewhere)
+	// and honors the planner's negotiated 16-bit cell width. Same lattice,
+	// same optimum, several times the throughput.
 	AlgorithmParallelPacked Algorithm = "parallel-packed"
-	// AlgorithmLinear is the sequential linear-space divide-and-conquer.
+	// AlgorithmLinear is the linear-space divide-and-conquer; an alias of
+	// AlgorithmParallelLinear.
 	AlgorithmLinear Algorithm = "linear"
-	// AlgorithmParallelLinear combines linear space with parallel plane sweeps.
+	// AlgorithmParallelLinear is the linear-space divide-and-conquer with
+	// parallel plane sweeps and concurrent sub-problems.
 	AlgorithmParallelLinear Algorithm = "parallel-linear"
 	// AlgorithmDiagonal is the plane-synchronized (anti-diagonal) parallel
 	// wavefront — the classic cell-level formulation the blocked schedule
 	// is compared against.
 	AlgorithmDiagonal Algorithm = "diagonal"
-	// AlgorithmPruned restricts the full matrix to the Carrillo–Lipman
-	// admissible region, using the center-star score as the lower bound.
+	// AlgorithmPruned is an alias of AlgorithmPrunedParallel.
 	AlgorithmPruned Algorithm = "pruned"
-	// AlgorithmPrunedParallel combines Carrillo–Lipman pruning with the
-	// blocked-wavefront parallel schedule.
+	// AlgorithmPrunedParallel restricts the blocked full-matrix fill to the
+	// Carrillo–Lipman admissible region, using the center-star-refined
+	// score as the lower bound.
 	AlgorithmPrunedParallel Algorithm = "pruned-parallel"
 	// AlgorithmBounded is true Carrillo–Lipman bounded search: it allocates
 	// only the admissible band (memory scales with the cells the bound
 	// admits, not the lattice), so exact alignment of similar triples runs
 	// far past the full-matrix memory ceiling. Exact, with the same
-	// preference-ordered traceback as AlgorithmFull.
+	// preference-ordered traceback as AlgorithmParallel.
 	AlgorithmBounded Algorithm = "bounded"
 	// AlgorithmAStar is the best-first (A*) frontier variant of bounded
 	// search: no lattice-shaped allocation at all, memory per expanded
 	// node. The kernel of choice for very similar triples whose admissible
 	// region is a thin tube. Exact.
 	AlgorithmAStar Algorithm = "astar"
-	// AlgorithmAffine optimizes the quasi-natural affine SP objective.
+	// AlgorithmAffine is an alias of AlgorithmAffineParallel.
 	AlgorithmAffine Algorithm = "affine"
-	// AlgorithmAffineLinear is AlgorithmAffine in O(m·p) working memory
-	// (the 7-state divide-and-conquer).
+	// AlgorithmAffineLinear is AlgorithmAffineParallel in O(m·p) working
+	// memory (the 7-state divide-and-conquer, always one worker).
 	AlgorithmAffineLinear Algorithm = "affine-linear"
-	// AlgorithmAffineParallel is AlgorithmAffine under the blocked-wavefront
-	// parallel schedule.
+	// AlgorithmAffineParallel optimizes the quasi-natural affine SP
+	// objective on the blocked wavefront.
 	AlgorithmAffineParallel Algorithm = "affine-parallel"
 	// AlgorithmCenterStar is the center-star heuristic (not optimal).
 	AlgorithmCenterStar Algorithm = "center-star"
@@ -182,16 +197,17 @@ func AlphabetByName(name string) (*Alphabet, bool) {
 	return nil, false
 }
 
-// Options configures Align. The zero value aligns with the parallel exact
-// algorithm under a default scheme for the triple's alphabet.
+// Options configures Align. The zero value aligns with the exact blocked
+// kernel on GOMAXPROCS workers under a default scheme for the triple's
+// alphabet.
 type Options struct {
 	// Algorithm selects the strategy; AlgorithmAuto by default.
 	Algorithm Algorithm
 	// Scheme overrides the scoring scheme. Defaults: +2/−1 with −2 linear
 	// gaps for DNA/RNA, BLOSUM62 (with its affine gaps) for protein.
 	Scheme *Scheme
-	// Workers is the goroutine pool size for parallel algorithms;
-	// non-positive means GOMAXPROCS.
+	// Workers is the goroutine pool size for the wavefront algorithms; 1
+	// runs them sequentially, non-positive means GOMAXPROCS.
 	Workers int
 	// BlockSize is the wavefront tile edge; non-positive means the core
 	// default.
@@ -242,8 +258,8 @@ type Result struct {
 	Algorithm Algorithm
 	// Elapsed is the wall-clock alignment time.
 	Elapsed time.Duration
-	// Prune carries Carrillo–Lipman statistics when one of the pruned or
-	// bounded-search kernels ran (AlgorithmPruned, AlgorithmPrunedParallel,
+	// Prune carries Carrillo–Lipman statistics when the pruned or a
+	// bounded-search kernel ran (AlgorithmPrunedParallel or its alias,
 	// AlgorithmBounded, AlgorithmAStar): the lattice size, the cells
 	// actually evaluated, and the bounds.
 	Prune *PruneStats
@@ -402,10 +418,9 @@ func evalFractionProbe(tr Triple, sch *Scheme, opt Options) float64 {
 }
 
 // planRequest translates a triple and Options into a planner request. The
-// parallel flag selects the intra-alignment parallel variants on automatic
-// requests (the single-call default); a wide outer batch clears it because
-// the batch itself supplies the parallelism.
-func planRequest(tr Triple, sch *Scheme, opt Options, parallel bool) plan.Request {
+// worker count is the only parallelism input: a wide outer batch, which
+// supplies the parallelism itself, plans its items at Workers 1.
+func planRequest(tr Triple, sch *Scheme, opt Options) plan.Request {
 	return plan.Request{
 		Shape:          plan.Shape{NA: tr.A.Len(), NB: tr.B.Len(), NC: tr.C.Len()},
 		Gap:            gapModel(sch),
@@ -414,7 +429,6 @@ func planRequest(tr Triple, sch *Scheme, opt Options, parallel bool) plan.Reques
 		BlockSize:      opt.BlockSize,
 		MaxBytes:       opt.MaxBytes,
 		MaxMemoryBytes: opt.MaxMemoryBytes,
-		Parallel:       parallel,
 		MaxAbsColumn:   core.MaxAbsColumn(sch),
 		EvalFraction:   evalFractionProbe(tr, sch, opt),
 	}
@@ -435,20 +449,20 @@ func PlanAlign(tr Triple, opt Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl, _, err := resolvePlan(tr, sch, opt, true)
+	pl, _, err := resolvePlan(tr, sch, opt)
 	return pl, err
 }
 
 // resolvePlan runs the planner for a validated triple and resolved scheme,
 // keeping the facade's historical error surface (unknown algorithms are
 // reported as "repro: unknown algorithm").
-func resolvePlan(tr Triple, sch *Scheme, opt Options, parallel bool) (*Plan, *plan.KernelSpec, error) {
+func resolvePlan(tr Triple, sch *Scheme, opt Options) (*Plan, *plan.KernelSpec, error) {
 	if opt.Algorithm != AlgorithmAuto {
 		if _, ok := plan.Lookup(string(opt.Algorithm)); !ok {
 			return nil, nil, fmt.Errorf("repro: unknown algorithm %q", opt.Algorithm)
 		}
 	}
-	pl, spec, err := plan.Resolve(planRequest(tr, sch, opt, parallel))
+	pl, spec, err := plan.Resolve(planRequest(tr, sch, opt))
 	if err != nil {
 		return nil, nil, fmt.Errorf("repro: align: %w", err)
 	}
@@ -474,9 +488,9 @@ func Align(tr Triple, opt Options) (*Result, error) {
 
 // AlignContext aligns the triple according to opt under a context — the
 // primary entry point. Cancelling ctx (or exceeding Options.Deadline)
-// stops the alignment cooperatively: sequential kernels poll at plane
-// boundaries, parallel kernels per wavefront block, and the worker pool
-// drains without leaking goroutines. The returned error wraps
+// stops the alignment cooperatively: blocked kernels poll per wavefront
+// block (per i-plane at one worker), plane-sweep kernels at plane
+// boundaries, and the worker pool drains without leaking goroutines. The returned error wraps
 // context.Canceled or context.DeadlineExceeded (check with errors.Is).
 //
 // With Options.Fallback set, a deadline or memory-cap failure of an exact
@@ -484,13 +498,13 @@ func Align(tr Triple, opt Options) (*Result, error) {
 // Result then has Degraded set and DegradedCause holding the original
 // error.
 func AlignContext(ctx context.Context, tr Triple, opt Options) (*Result, error) {
-	return alignWith(ctx, tr, opt, true)
+	return alignWith(ctx, tr, opt)
 }
 
 // alignWith is the single execution path behind Align, AlignContext, and
 // the batch claimers: plan through the kernel registry, dispatch the
 // planned spec, and apply the Fallback degradation policy.
-func alignWith(ctx context.Context, tr Triple, opt Options, parallel bool) (*Result, error) {
+func alignWith(ctx context.Context, tr Triple, opt Options) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("repro: align: %w", err)
 	}
@@ -501,7 +515,7 @@ func alignWith(ctx context.Context, tr Triple, opt Options, parallel bool) (*Res
 	if err != nil {
 		return nil, err
 	}
-	pl, spec, err := resolvePlan(tr, sch, opt, parallel)
+	pl, spec, err := resolvePlan(tr, sch, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -596,7 +610,7 @@ func AlignSeeded(ctx context.Context, tr Triple, opt Options, lower int32) (*Res
 	popt := opt
 	popt.Algorithm = AlgorithmBounded
 	popt.MaxMemoryBytes = 0
-	pl, _, err := resolvePlan(tr, sch, popt, true)
+	pl, _, err := resolvePlan(tr, sch, popt)
 	if err != nil {
 		return nil, err
 	}
