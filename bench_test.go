@@ -209,30 +209,6 @@ func BenchmarkT3Quality(b *testing.B) {
 	}
 }
 
-// BenchmarkF4Pruning — F4: Carrillo–Lipman evaluated-cell fraction and
-// runtime vs sequence identity, with the center-star score as lower bound.
-func BenchmarkF4Pruning(b *testing.B) {
-	for _, id := range []float64{0.5, 0.7, 0.9, 0.95} {
-		tr := benchTriple(7000+int64(id*100), 96, 1-id)
-		b.Run(fmt.Sprintf("identity=%.0f%%", id*100), func(b *testing.B) {
-			var frac float64
-			for i := 0; i < b.N; i++ {
-				bound, err := msa.CenterStar(tr, scoring.DNADefault())
-				if err != nil {
-					b.Fatal(err)
-				}
-				aln, st, err := core.AlignPrunedParallel(context.Background(), tr, scoring.DNADefault(), core.Options{Workers: 1}, bound.Score)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = aln.Score
-				frac = st.Fraction()
-			}
-			b.ReportMetric(frac, "evaluated_fraction")
-		})
-	}
-}
-
 // BenchmarkT4UnequalLengths — T4: constant-volume shapes; runtime should
 // track n·m·p, so all sub-benchmarks land near the same time.
 func BenchmarkT4UnequalLengths(b *testing.B) {
@@ -267,33 +243,6 @@ func BenchmarkF5ParallelLinear(b *testing.B) {
 				benchSink = aln.Score
 			}
 			b.ReportMetric(float64(core.LinearBytes(tr)), "lattice_bytes")
-		})
-	}
-}
-
-// BenchmarkF6Schedule — F6: schedule ablation. The blocked wavefront
-// (paper's design) against the plane-synchronized anti-diagonal schedule
-// (one barrier per i+j+k level) on identical inputs.
-func BenchmarkF6Schedule(b *testing.B) {
-	for _, n := range []int{64, 128} {
-		tr := benchTriple(11000+int64(n), n, 0.3)
-		b.Run(fmt.Sprintf("schedule=blocked/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignParallel(context.Background(), tr, scoring.DNADefault(), core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = aln.Score
-			}
-		})
-		b.Run(fmt.Sprintf("schedule=diagonal/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				aln, err := core.AlignDiagonal(context.Background(), tr, scoring.DNADefault(), core.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = aln.Score
-			}
 		})
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	align3 -in triple.fasta -alphabet dna -algorithm parallel -workers 8
+//	align3 -in triple.fasta -alphabet dna -algorithm parallel-packed -workers 8
 //	seqgen -n 100 | align3 -format clustal
 //	align3 -in triple.fasta.gz -both-strands -format json
 //	align3 -in triple.fasta -timeout 30s -fallback
@@ -12,10 +12,11 @@
 //	align3 -msa -in family.fasta
 //	align3 -msa -in family.fasta -explain
 //
-// Exact algorithms: parallel, parallel-packed, parallel-linear, diagonal,
-// pruned-parallel, bounded, astar, affine-parallel, affine-linear, and the
-// aliases full, full-packed, linear, pruned and affine — the same kernels
-// by their sequential names (-workers 1 runs any of them sequentially).
+// Exact algorithms: parallel-packed, parallel-linear, bounded, astar,
+// affine-parallel and affine-linear, plus the aliases full, full-packed,
+// parallel and diagonal (parallel-packed), linear (parallel-linear),
+// affine (affine-parallel), and pruned and pruned-parallel (bounded).
+// -workers 1 runs any of them sequentially.
 // Heuristics: center-star, center-star-refined, progressive.
 // Formats: pretty (default), clustal, fasta, stats, json, quiet.
 // Gzip-compressed input is detected automatically; -both-strands also

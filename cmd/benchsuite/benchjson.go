@@ -50,7 +50,7 @@ type kernelMetric struct {
 	// (so McellsPerS is the honest per-evaluated-cell rate the planner
 	// calibrates against), while the similarity-sweep rows
 	// ("bounded-idNN") report Cells = the whole lattice (so McellsPerS is
-	// the effective throughput comparable to the "full" row).
+	// the effective throughput comparable to the "full-packed" row).
 	EvaluatedFraction float64 `json:"evaluated_fraction,omitempty"`
 }
 
@@ -206,14 +206,13 @@ func writeBenchJSON(path string, cfg config) error {
 	// keep measuring the cache-tiled configuration the planner's
 	// above-one-worker rates extrapolate from; left to the adaptive
 	// heuristic, a one-worker run would fill whole planes, which is what
-	// the "full" rows measure.
+	// the "full-packed" rows measure.
 	blockedTile := func(bytesPerCell int) [3]int {
 		ti, tj, tk := core.AdaptiveTileDims(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1,
 			max(2, runtime.GOMAXPROCS(0)), bytesPerCell)
 		return [3]int{ti, tj, tk}
 	}
 	tiles := map[string][3]int{
-		"parallel":            blockedTile(4),
 		"parallel-packed":     blockedTile(4),
 		"parallel-packed-w16": blockedTile(2),
 	}
@@ -280,23 +279,17 @@ func writeBenchJSON(path string, cfg config) error {
 		frac  float64 // evaluated fraction (bounded-search rows only)
 		sched bool    // goes through the wavefront block scheduler
 	}{
-		{"full", n, lattice(tr), func() {
+		{"full-packed", n, lattice(tr), func() {
 			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{Workers: 1}))
 		}, cells(tr), 0, false},
-		{"full-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{Workers: 1}))
-		}, cells(tr), 0, false},
 		{"full-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{Workers: 1, CellWidth: 16}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{Workers: 1, CellWidth: 16}))
 		}, cells(tr), 0, false},
-		{"parallel", n, lattice(tr), func() {
-			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{TileDims: tiles["parallel"]}))
-		}, cells(tr), 0, true},
 		{"parallel-packed", n, lattice(tr), func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed"]}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed"]}))
 		}, cells(tr), 0, true},
 		{"parallel-packed-w16", n, lattice(tr) / 2, func() {
-			mustAlign(core.AlignParallelPacked(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed-w16"], CellWidth: 16}))
+			mustAlign(core.AlignParallel(ctx, tr, sch, core.Options{TileDims: tiles["parallel-packed-w16"], CellWidth: 16}))
 		}, cells(tr), 0, true},
 		{"score", n, 2 * int64(tr.B.Len()+1) * int64(tr.C.Len()+1) * 4, func() {
 			if _, err := core.Score(ctx, tr, sch, core.Options{}); err != nil {
@@ -305,14 +298,6 @@ func writeBenchJSON(path string, cfg config) error {
 		}, cells(tr), 0, false},
 		{"linear", n, core.LinearBytes(tr), func() {
 			mustAlign(core.AlignParallelLinear(ctx, tr, sch, core.Options{Workers: 1}))
-		}, cells(tr), 0, false},
-		{"pruned", n, lattice(tr), func() {
-			if _, _, err := core.AlignPrunedParallel(ctx, tr, sch, core.Options{Workers: 1}); err != nil {
-				panic(err)
-			}
-		}, cells(tr), 0, false},
-		{"diagonal", n, lattice(tr), func() {
-			mustAlign(core.AlignDiagonal(ctx, tr, sch, core.Options{}))
 		}, cells(tr), 0, false},
 		{"affine7", nAff, 7 * lattice(trAff), func() {
 			mustAlign(core.AlignAffineParallel(ctx, trAff, affSch, core.Options{Workers: 1}))
@@ -342,8 +327,8 @@ func writeBenchJSON(path string, cfg config) error {
 			}
 		}, stA60.EvaluatedCells, stA60.Fraction(), false},
 		// Similarity sweep: Cells = whole lattice, so McellsPerS is the
-		// effective throughput comparable to the "full" row. CI asserts the
-		// 80%-identity row beats "full" and evaluates ≤25% of the lattice.
+		// effective throughput comparable to the "full-packed" row. CI asserts the
+		// 80%-identity row beats "full-packed" and evaluates ≤25% of the lattice.
 		{"bounded-id60", nB, b60.stats.EvaluatedCells * 4, runBoundedRow(b60),
 			b60.stats.TotalCells, b60.stats.Fraction(), false},
 		{"bounded-id80", nB, b80.stats.EvaluatedCells * 4, runBoundedRow(b80),

@@ -59,8 +59,8 @@ func TestExperimentIDsUnique(t *testing.T) {
 			t.Errorf("experiment %q incomplete", e.id)
 		}
 	}
-	if len(experiments) != 15 {
-		t.Errorf("expected 15 experiments, found %d", len(experiments))
+	if len(experiments) != 13 {
+		t.Errorf("expected 13 experiments, found %d", len(experiments))
 	}
 }
 
@@ -84,9 +84,9 @@ func TestBenchJSON(t *testing.T) {
 	if rep.Rev == "" || rep.GoVersion == "" || rep.GOMAXPROCS < 1 {
 		t.Fatalf("missing environment metadata: %+v", rep)
 	}
-	want := map[string]bool{"full": false, "full-packed": false, "full-packed-w16": false,
-		"parallel": false, "parallel-packed": false, "parallel-packed-w16": false,
-		"score": false, "linear": false, "pruned": false, "diagonal": false, "affine7": false,
+	want := map[string]bool{"full-packed": false, "full-packed-w16": false,
+		"parallel-packed": false, "parallel-packed-w16": false,
+		"score": false, "linear": false, "affine7": false,
 		"pairwise-global": false, "pairwise-gotoh": false,
 		"bounded": false, "astar": false,
 		"bounded-id60": false, "bounded-id80": false, "bounded-id95": false}
@@ -182,8 +182,8 @@ func TestBaselineDiff(t *testing.T) {
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "BENCH_base.json")
 	base := benchReport{Rev: "testbase", Kernels: []kernelMetric{
-		{Kernel: "full", McellsPerS: 1e9},
-		{Kernel: "parallel", McellsPerS: 1e9},
+		{Kernel: "full-packed", McellsPerS: 1e9},
+		{Kernel: "parallel-packed", McellsPerS: 1e9},
 	}}
 	data, err := json.Marshal(base)
 	if err != nil {

@@ -40,7 +40,9 @@ func TestAlignContextMidFlightDeadline(t *testing.T) {
 		t.Skip("large lattice")
 	}
 	g := NewGenerator(DNA, 302)
-	tr := g.RelatedTriple(200, MutationModel{SubstitutionRate: 0.15})
+	// 320³ cells keep the lane-packed fill busy well past the 20ms
+	// deadline below.
+	tr := g.RelatedTriple(320, MutationModel{SubstitutionRate: 0.15})
 	// Warm the shared worker pool before capturing the goroutine baseline:
 	// pool workers persist across runs by design and must not read as leaks.
 	warm := g.RelatedTriple(24, MutationModel{SubstitutionRate: 0.1})
@@ -56,7 +58,7 @@ func TestAlignContextMidFlightDeadline(t *testing.T) {
 	elapsed := time.Since(start)
 
 	if err == nil {
-		t.Fatal("200^3 alignment finished under a 20ms deadline — lattice too small to test cancellation")
+		t.Fatal("320^3 alignment finished under a 20ms deadline — lattice too small to test cancellation")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
@@ -145,7 +147,9 @@ func TestAlignContextDeadParentNoFallback(t *testing.T) {
 		t.Skip("large lattice")
 	}
 	g := NewGenerator(DNA, 307)
-	tr := g.RelatedTriple(150, MutationModel{SubstitutionRate: 0.1})
+	// 260³ cells: the lane-packed fill is still running when the 10ms
+	// parent deadline lands.
+	tr := g.RelatedTriple(260, MutationModel{SubstitutionRate: 0.1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	res, err := AlignContext(ctx, tr, Options{Algorithm: AlgorithmParallel, Fallback: true})

@@ -88,10 +88,11 @@
 // hint with a one-sided failure mode: kernels re-verify the bound at
 // dispatch and silently run 32-bit cells when it does not hold, so a
 // stale plan can cost memory bandwidth but can never truncate a score.
-// AlgorithmParallelPacked (alias AlgorithmFullPacked; the Auto default for
-// linear-gap schemes) additionally vectorizes the interior loop along the
-// unit-stride axis; it is exact and bit-identical to its scalar
-// counterpart.
+// AlgorithmParallelPacked (the Auto default for linear-gap schemes)
+// additionally vectorizes the interior loop along the unit-stride axis; it
+// is exact and bit-identical to the scalar recurrence, which is why the
+// names of the retired scalar fill (AlgorithmParallel, AlgorithmFull) are
+// aliases of it.
 //
 // The underlying algorithm implementations live in internal/core; sequence
 // and scoring substrates in internal/seq and internal/scoring; heuristic

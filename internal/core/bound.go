@@ -24,7 +24,7 @@ import (
 //
 // The through form folds the old six forward/backward planes into three,
 // halving both the per-cell admissibility loads and the resident plane
-// bytes; the pre-change six-plane kernel survives as the diff-test
+// bytes; the pre-change six-plane form survives as the diff-test
 // reference (reference_test.go).
 type boundCtx struct {
 	tAB, tAC, tBC *mat.Plane

@@ -30,7 +30,8 @@ import (
 //     a contiguous superset of the admissible set — and the admissible set
 //     contains every cell of every optimal path, so the band DP computes
 //     exact values along all optimal paths (out-of-band reads are NegInf,
-//     matching the dense pruned kernel's sentinel for pruned cells).
+//     the value a pruned cell holds in the dense pruned fill that the
+//     test suite keeps as this kernel's oracle).
 //
 // The fill runs the 2D blocked wavefront over (i, j) — each (i, j) lane is
 // filled atomically, so the k-1 dependency stays inside the lane — and is
@@ -205,7 +206,7 @@ func bandLaneOf(b *mat.BandTensor3, i, j int) ([]mat.Score, int, bool) {
 
 // bandVal reads one cell from a lane slice fetched by bandLaneOf,
 // returning NegInf outside the stored interval — the same sentinel a
-// pruned cell holds in the dense kernels.
+// pruned cell holds in the dense pruned fill.
 func bandVal(lane []mat.Score, lo int, ok bool, k int) mat.Score {
 	if !ok || k < lo || k >= lo+len(lane) {
 		return mat.NegInf

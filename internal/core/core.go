@@ -2,30 +2,31 @@
 // primary contribution of the reproduced paper — as a family of algorithms
 // over the same objective:
 //
-//   - AlignParallel (and its lane-packed twin AlignParallelPacked): the
-//     paper's algorithm. The 3D lattice is tiled into blocks evaluated in
-//     wavefront order by a goroutine pool; blocks on an anti-diagonal plane
-//     are independent. O(n·m·p) time and space.
+//   - AlignParallel: the paper's algorithm. The 3D lattice is tiled into
+//     blocks evaluated in wavefront order by a goroutine pool; blocks on an
+//     anti-diagonal plane are independent, and each block runs the
+//     lane-packed interior. O(n·m·p) time and space.
 //   - AlignParallelLinear: 3D Hirschberg divide-and-conquer in O(m·p)
 //     working memory, which is what makes long sequences feasible; every
 //     plane sweep runs a 2D blocked wavefront and independent sub-problems
 //     are solved concurrently.
 //   - AlignAffineParallel: the 7-state generalization of Gotoh's algorithm
 //     with quasi-natural affine gap costs, on the same blocked wavefront.
-//   - AlignPrunedParallel: the blocked full-matrix DP restricted to the
-//     Carrillo–Lipman admissible region derived from pairwise projection
-//     bounds.
+//   - AlignBounded and AlignAStar: Carrillo–Lipman bounded search, which
+//     allocates (or expands) only the cells the pairwise projection bounds
+//     admit.
 //
-// There are no separate sequential kernels: a sequential fill is the
-// blocked schedule run by one worker, with the whole-plane tiling
-// AdaptiveTileDims picks for it. The public sequential algorithm names
-// ("full", "full-packed", "linear", "affine", "pruned") are planner aliases
-// for these kernels at Options.Workers == 1.
+// There are no separate sequential or scalar kernels: a sequential fill is
+// the blocked schedule run by one worker, with the whole-plane tiling
+// AdaptiveTileDims picks for it, and the scalar recurrence survives only
+// as the verbatim test oracles the packed interiors are pinned against.
+// The public sequential names ("full", "full-packed", "linear",
+// "affine") and the names of retired kernels ("parallel", "diagonal",
+// "pruned", "pruned-parallel") are planner aliases for these kernels.
 //
 // All algorithms maximize the linear-gap sum-of-pairs objective defined by
-// a scoring.Scheme (the affine kernels maximize the affine variant) and,
-// except for the heuristically bounded pruning statistics, return identical
-// optimal scores.
+// a scoring.Scheme (the affine kernels maximize the affine variant) and
+// return identical optimal scores.
 package core
 
 import (
@@ -106,9 +107,9 @@ func (o Options) maxBytes() int64 {
 	return o.MaxBytes
 }
 
-// FullMatrixBytes reports the lattice allocation AlignParallel and
-// AlignPrunedParallel perform for the given triple; the T2 experiment
-// tabulates it against LinearBytes.
+// FullMatrixBytes reports the int32 lattice allocation AlignParallel
+// performs for the given triple; the T2 experiment tabulates it against
+// LinearBytes.
 func FullMatrixBytes(tr seq.Triple) int64 {
 	return mat.Tensor3Bytes(tr.A.Len()+1, tr.B.Len()+1, tr.C.Len()+1)
 }
@@ -124,76 +125,6 @@ func LinearBytes(tr seq.Triple) int64 {
 // all three sequences.
 func colXXX(sch *scoring.Scheme, ai, bj, ck int8) mat.Score {
 	return sch.Sub(ai, bj) + sch.Sub(ai, ck) + sch.Sub(bj, ck)
-}
-
-// fillRange computes every lattice cell in the box si×sj×sk in
-// lexicographic order. The caller guarantees all predecessor cells outside
-// the box are already computed (true for wavefront-scheduled blocks at any
-// worker count). Pair scores come from the precomputed tables; ge2 is
-// 2·GapExtend.
-//
-// The box is peeled into explicit boundary passes (i == 0 plane, j == 0
-// row, k == 0 column) and a branch-minimal interior loop, so the interior
-// carries no per-cell boundary tests and no nil-lane checks.
-func fillRange[T mat.Cell](t *mat.Tensor3Of[T], st *scoreTablesOf[T], ge2 T, si, sj, sk wavefront.Span) {
-	if fpFill.Fire() {
-		panic("faultpoint: core.fill.block")
-	}
-	if si.Lo == 0 {
-		fillBoundaryI0(t, st, ge2, sj, sk)
-	}
-	for i := max(si.Lo, 1); i < si.Hi; i++ {
-		abRow := st.ab.Row(i)
-		acRow := st.ac.Row(i)
-		if sj.Lo == 0 {
-			fillBoundaryJ0(t, ge2, i, acRow, sk)
-		}
-		for j := max(sj.Lo, 1); j < sj.Hi; j++ {
-			fillLane(t, ge2, i, j, abRow[j], acRow, st.bc.Row(j), sk)
-		}
-	}
-}
-
-// fillLane fills the interior k-lane of cell row (i, j), i ≥ 1, j ≥ 1. The
-// four predecessor lanes are hoisted and re-sliced to the span's upper
-// bound so the compiler elides every interior bounds check (verified with
-// -gcflags=-d=ssa/check_bce), and the k-1 predecessors are carried in
-// registers across iterations, so each lattice and table element is loaded
-// exactly once.
-func fillLane[T mat.Cell](t *mat.Tensor3Of[T], ge2 T, i, j int, sAB T, acRow, bcRow []T, sk wavefront.Span) {
-	hi := sk.Hi
-	cur := t.Lane(i, j)[:hi:hi]
-	lane11 := t.Lane(i-1, j-1)[:hi]
-	lane10 := t.Lane(i-1, j)[:hi]
-	lane01 := t.Lane(i, j-1)[:hi]
-	acRow = acRow[:hi]
-	bcRow = bcRow[:hi]
-	lo := sk.Lo
-	if lo < 1 {
-		// k == 0 column: only the k-preserving moves XXG, XGG, GXG apply.
-		cur[0] = max(lane11[0]+sAB, lane10[0], lane01[0]) + ge2
-		lo = 1
-	}
-	if lo >= hi {
-		return
-	}
-	v11, v10, v01 := lane11[lo-1], lane10[lo-1], lane01[lo-1]
-	vkk := cur[lo-1]
-	for k := lo; k < hi; k++ {
-		n11, n10, n01 := lane11[k], lane10[k], lane01[k]
-		sac, sbc := acRow[k], bcRow[k]
-		best := max(
-			v11+sAB+sac+sbc, // XXX
-			v10+sac+ge2,     // XGX
-			v01+sbc+ge2,     // GXX
-			vkk+ge2,         // GGX
-			n11+sAB+ge2,     // XXG
-			n10+ge2,         // XGG
-			n01+ge2,         // GXG
-		)
-		cur[k] = best
-		v11, v10, v01, vkk = n11, n10, n01, best
-	}
 }
 
 // fillBoundaryI0 fills the i == 0 plane portion of the box: only the moves
@@ -311,39 +242,26 @@ func latticeNeed[T mat.Cell](ca, cb, cc []int8) int64 {
 // wavefront: the full lattice is tiled and the tiles are filled in
 // wavefront order by a pool of Options.Workers goroutines. One worker is
 // the degenerate tiling — whole i-planes in order — so this is also the
-// sequential full-matrix algorithm (the public "full" alias). The lattice
-// is retained, so traceback is exact. Cancellation is checked per block
-// (per i-plane at one worker), and a panic inside a block fill comes back
-// as a *wavefront.PanicError at any worker count. When Options.CellWidth
-// asks for — and the Int16Safe bound admits — a 16-bit lattice, the fill
-// runs over int16 cells at half the memory traffic with bit-identical
-// scores.
+// sequential full-matrix algorithm. Every tile runs the lane-packed
+// interior (fillRangePacked), pinned to the verbatim scalar recurrence of
+// the test oracles. The lattice is retained, so traceback is exact.
+// Cancellation is checked per block (per i-plane at one worker), and a
+// panic inside a block fill comes back as a *wavefront.PanicError at any
+// worker count. When Options.CellWidth asks for — and the Int16Safe bound
+// admits — a 16-bit lattice, the fill runs over int16 cells at half the
+// memory traffic with bit-identical scores.
 func AlignParallel(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignBlocked(ctx, tr, sch, opt, false)
-}
-
-// AlignParallelPacked is AlignParallel with the lane-packed interior: the
-// unit-stride k lane advances several cells per iteration (AVX2 where the
-// host has it, hand-unrolled bounds-check-free max chains elsewhere).
-// Scores and moves are bit-identical to AlignParallel (integer max is
-// associative and commutative, so regrouping the chain cannot change any
-// cell). At one worker it is the public "full-packed" alias.
-func AlignParallelPacked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
-	return alignBlocked(ctx, tr, sch, opt, true)
-}
-
-func alignBlocked(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
 	ca, cb, cc, err := prepare(tr, sch)
 	if err != nil {
 		return nil, err
 	}
 	if useInt16(opt, sch, ca, cb, cc) {
-		return alignBlockedOf[int16](ctx, tr, ca, cb, cc, sch, opt, packed)
+		return alignBlockedOf[int16](ctx, tr, ca, cb, cc, sch, opt)
 	}
-	return alignBlockedOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt, packed)
+	return alignBlockedOf[mat.Score](ctx, tr, ca, cb, cc, sch, opt)
 }
 
-func alignBlockedOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options, packed bool) (*alignment.Alignment, error) {
+func alignBlockedOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc []int8, sch *scoring.Scheme, opt Options) (*alignment.Alignment, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
@@ -356,23 +274,16 @@ func alignBlockedOf[T mat.Cell](ctx context.Context, tr seq.Triple, ca, cb, cc [
 	defer mat.PutTensor3Of(t)
 	ge2 := T(2 * sch.GapExtend())
 	var lv laneVec
-	if packed {
-		initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	}
+	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	ti, tj, tk := opt.tileDims(len(ca)+1, len(cb)+1, len(cc)+1, mat.CellBytes[T]())
 	si := wavefront.Partition(len(ca)+1, ti)
 	sj := wavefront.Partition(len(cb)+1, tj)
 	sk := wavefront.Partition(len(cc)+1, tk)
 	if err := wavefront.Run3DContext(ctx, len(si), len(sj), len(sk), opt.workers(), func(bi, bj, bk int) {
-		if packed {
-			// Each tile works on a private copy: the argument blocks
-			// inside laneVec are scratch state, and tiles run on
-			// concurrent workers.
-			tileLV := lv
-			fillRangePacked(t, st, ge2, si[bi], sj[bj], sk[bk], &tileLV)
-		} else {
-			fillRange(t, st, ge2, si[bi], sj[bj], sk[bk])
-		}
+		// Each tile works on a private copy: the argument blocks inside
+		// laneVec are scratch state, and tiles run on concurrent workers.
+		tileLV := lv
+		fillRangePacked(t, st, ge2, si[bi], sj[bj], sk[bk], &tileLV)
 	}); err != nil {
 		return nil, err
 	}

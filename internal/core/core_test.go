@@ -304,8 +304,8 @@ func TestMemoryCap(t *testing.T) {
 	if _, err := AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("linear err = %v, want ErrTooLarge", err)
 	}
-	if _, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("pruned err = %v, want ErrTooLarge", err)
+	if _, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("bounded err = %v, want ErrTooLarge", err)
 	}
 	if _, err := AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1, MaxBytes: 100}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("affine err = %v, want ErrTooLarge", err)

@@ -30,12 +30,6 @@ func TestKernelsPreCancelled(t *testing.T) {
 		{"parallel", func() error { _, err := AlignParallel(ctx, tr, dnaSch, Options{}); return err }},
 		{"linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{Workers: 1}); return err }},
 		{"parallel-linear", func() error { _, err := AlignParallelLinear(ctx, tr, dnaSch, Options{}); return err }},
-		{"diagonal", func() error { _, err := AlignDiagonal(ctx, tr, dnaSch, Options{}); return err }},
-		{"pruned", func() error {
-			_, _, err := AlignPrunedParallel(ctx, tr, dnaSch, Options{Workers: 1}, -1000)
-			return err
-		}},
-		{"pruned-parallel", func() error { _, _, err := AlignPrunedParallel(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"bounded", func() error { _, _, err := AlignBounded(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"astar", func() error { _, _, err := AlignAStar(ctx, tr, dnaSch, Options{}, -1000); return err }},
 		{"affine", func() error { _, err := AlignAffineParallel(ctx, tr, affSch, Options{Workers: 1}); return err }},
@@ -113,7 +107,7 @@ func TestOneWorkerCancelWithinOnePlane(t *testing.T) {
 	t.Cleanup(faultpoint.Reset)
 	for name, run := range map[string]func(context.Context) error{
 		"full-packed": func(ctx context.Context) error {
-			_, err := AlignParallelPacked(ctx, tr, dnaSch, Options{Workers: 1})
+			_, err := AlignParallel(ctx, tr, dnaSch, Options{Workers: 1})
 			return err
 		},
 		"affine": func(ctx context.Context) error {

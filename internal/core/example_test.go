@@ -40,14 +40,14 @@ func ExampleAlignParallelLinear() {
 	// memory ratio >= 20x: true
 }
 
-// ExampleAlignPrunedParallel skips most of the lattice on similar
-// sequences, even with only the built-in trivial lower bound.
-func ExampleAlignPrunedParallel() {
+// ExampleAlignBounded skips most of the lattice on similar sequences, even
+// with only the built-in trivial lower bound.
+func ExampleAlignBounded() {
 	g := seq.NewGenerator(seq.DNA, 7)
 	tr := g.RelatedTriple(70, seq.MutationModel{SubstitutionRate: 0.05})
 	sch := scoring.DNADefault()
 
-	aln, stats, _ := core.AlignPrunedParallel(context.Background(), tr, sch, core.Options{Workers: 1})
+	aln, stats, _ := core.AlignBounded(context.Background(), tr, sch, core.Options{Workers: 1})
 	ref, _ := core.AlignParallel(context.Background(), tr, sch, core.Options{Workers: 1})
 	fmt.Println("optimal:", aln.Score == ref.Score)
 	fmt.Println("evaluated under 10% of cells:", stats.Fraction() < 0.10)

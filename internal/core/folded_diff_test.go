@@ -62,9 +62,9 @@ func refFullAlign(t *testing.T, ca, cb, cc []int8, sch *scoring.Scheme) ([]align
 	return moves, tt.At(len(ca), len(cb), len(cc))
 }
 
-// refPrunedAlign is the oracle for the pruned kernel under the trivial
-// lower bound: the verbatim six-plane admissibility fill and its evaluated
-// cell count.
+// refPrunedAlign is the dense pruned oracle the bounded band is pinned to
+// under the trivial lower bound: the verbatim six-plane admissibility fill
+// and its evaluated cell count.
 func refPrunedAlign(t *testing.T, tr seq.Triple, sch *scoring.Scheme) ([]alignment.Move, PruneStats) {
 	t.Helper()
 	ca, cb, cc := tr.A.Codes(), tr.B.Codes(), tr.C.Codes()
@@ -199,13 +199,11 @@ func TestFoldedKernelsMatchOracles(t *testing.T) {
 					for _, width := range []int{16, 32} {
 						wopt := opt
 						wopt.CellWidth = width
-						for kernel, run := range map[string]kernelFunc{"full": AlignParallel, "full-packed": AlignParallelPacked} {
-							aln, err := run(ctx, tr, sch, wopt)
-							if err != nil {
-								t.Fatalf("%s: %v", tag(kernel), err)
-							}
-							wantSameMoves(t, tag(kernel), aln.Score, fullScore, aln.Moves, fullMoves)
+						aln, err := AlignParallel(ctx, tr, sch, wopt)
+						if err != nil {
+							t.Fatalf("%s: %v", tag("full"), err)
 						}
+						wantSameMoves(t, tag("full"), aln.Score, fullScore, aln.Moves, fullMoves)
 					}
 					aln, err := AlignParallelLinear(ctx, tr, sch, opt)
 					if err != nil {
@@ -213,13 +211,17 @@ func TestFoldedKernelsMatchOracles(t *testing.T) {
 					}
 					wantSameMoves(t, tag("linear"), aln.Score, fullScore, aln.Moves, linMoves)
 
-					aln, st, err := AlignPrunedParallel(ctx, tr, sch, opt)
+					// The band stores a superset of the dense admissible
+					// region: same moves and bound, at least as many cells.
+					aln, st, err := AlignBounded(ctx, tr, sch, opt)
 					if err != nil {
-						t.Fatalf("%s: %v", tag("pruned"), err)
+						t.Fatalf("%s: %v", tag("bounded"), err)
 					}
-					wantSameMoves(t, tag("pruned"), aln.Score, fullScore, aln.Moves, prunedMoves)
-					if st != prunedStats {
-						t.Fatalf("%s: prune stats %+v, oracle %+v", tag("pruned"), st, prunedStats)
+					wantSameMoves(t, tag("bounded"), aln.Score, fullScore, aln.Moves, prunedMoves)
+					dense := prunedStats
+					dense.EvaluatedCells = st.EvaluatedCells
+					if st != dense || st.EvaluatedCells < prunedStats.EvaluatedCells {
+						t.Fatalf("%s: prune stats %+v, dense oracle %+v", tag("bounded"), st, prunedStats)
 					}
 				}
 			}

@@ -43,14 +43,14 @@ func FuzzAlgorithmsAgree(f *testing.F) {
 				return aln.Score, nil
 			},
 			"diagonal": func() (int32, error) {
-				aln, err := AlignDiagonal(context.Background(), tr, dnaSch, Options{Workers: 2})
+				aln, err := alignDiagonal(context.Background(), tr, dnaSch, Options{Workers: 2})
 				if err != nil {
 					return 0, err
 				}
 				return aln.Score, nil
 			},
 			"pruned": func() (int32, error) {
-				aln, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+				aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 				if err != nil {
 					return 0, err
 				}

@@ -8,7 +8,7 @@ import (
 // TestLongSequencesLinearSpace is the end-to-end "long sequences" scenario
 // the linear-space algorithm exists for: a length-320 triple whose full
 // lattice (≈132 MB) is aligned within a 16 MB lattice budget, and the
-// score is cross-checked against the pruned full-matrix run.
+// score is cross-checked against the Carrillo–Lipman band.
 func TestLongSequencesLinearSpace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-input integration test")
@@ -21,12 +21,12 @@ func TestLongSequencesLinearSpace(t *testing.T) {
 	checkAlignment(t, lin, dnaSch)
 
 	// Independent cross-check with a completely different strategy.
-	pruned, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	bounded, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lin.Score != pruned.Score {
-		t.Fatalf("linear-space %d != pruned full-matrix %d", lin.Score, pruned.Score)
+	if lin.Score != bounded.Score {
+		t.Fatalf("linear-space %d != bounded band %d", lin.Score, bounded.Score)
 	}
 	if need := FullMatrixBytes(tr); need < (16 << 20) {
 		t.Fatalf("test misconfigured: full lattice %d fits the cap", need)
@@ -34,13 +34,13 @@ func TestLongSequencesLinearSpace(t *testing.T) {
 }
 
 // TestLongSequencesBandedFastPath checks the banded tube on a long,
-// highly similar triple against the same pruned reference.
+// highly similar triple against the same bounded reference.
 func TestLongSequencesBandedFastPath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-input integration test")
 	}
 	tr := relatedTriple(2027, 200, 0.03)
-	ref, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	ref, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

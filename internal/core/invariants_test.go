@@ -36,7 +36,7 @@ func TestColumnCountBounds(t *testing.T) {
 			return AlignParallelLinear(context.Background(), tr, dnaSch, Options{Workers: 1})
 		},
 		"diagonal": func(tr seq.Triple) (*alignment.Alignment, error) {
-			return AlignDiagonal(context.Background(), tr, dnaSch, Options{Workers: 2})
+			return alignDiagonal(context.Background(), tr, dnaSch, Options{Workers: 2})
 		},
 		"affine": func(tr seq.Triple) (*alignment.Alignment, error) {
 			return AlignAffineParallel(context.Background(), tr, dnaSch, Options{Workers: 1})

@@ -29,8 +29,8 @@ func fullSpans(ca, cb, cc []int8) (si, sj, sk wavefront.Span) {
 }
 
 // BenchmarkKernelFillRange measures the full sequential fill path: score
-// tables built per iteration, lattice from the arena, then the peeled
-// kernel over the whole box.
+// tables and lane state built per iteration, lattice from the arena, then
+// the peeled lane-packed kernel over the whole box.
 func BenchmarkKernelFillRange(b *testing.B) {
 	ca, cb, cc := benchCodes(64)
 	sch := scoring.DNADefault()
@@ -41,7 +41,9 @@ func BenchmarkKernelFillRange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st := newScoreTables(ca, cb, cc, sch)
 		t := mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
-		fillRange(t, st, 2*sch.GapExtend(), si, sj, sk)
+		var lv laneVec
+		initLaneVec(&lv, ca, cb, cc, sch, 2*sch.GapExtend())
+		fillRangePacked(t, st, 2*sch.GapExtend(), si, sj, sk, &lv)
 		mat.PutTensor3(t)
 		st.release()
 	}
@@ -49,31 +51,10 @@ func BenchmarkKernelFillRange(b *testing.B) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
-// BenchmarkKernelFillRangeInterior measures only the cell-fill loop:
-// tables and lattice are prebuilt, so the loop body must not allocate.
-func BenchmarkKernelFillRangeInterior(b *testing.B) {
-	ca, cb, cc := benchCodes(64)
-	sch := scoring.DNADefault()
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	t := mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
-	defer mat.PutTensor3(t)
-	ge2 := 2 * sch.GapExtend()
-	si, sj, sk := fullSpans(ca, cb, cc)
-	cells := int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fillRange(t, st, ge2, si, sj, sk)
-	}
-	b.StopTimer() // exclude the metric bookkeeping from the alloc count
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
-}
-
-// benchInteriorOf is the shared body of the width- and packing-variant
-// interior benchmarks: tables and lattice prebuilt at cell width T, the
-// chosen fill kernel timed alone.
-func benchInteriorOf[T mat.Cell](b *testing.B, packed bool) {
+// benchInteriorOf is the shared body of the width-variant interior
+// benchmarks: tables, lane state and lattice prebuilt at cell width T, the
+// lane-packed fill timed alone, so the loop body must not allocate.
+func benchInteriorOf[T mat.Cell](b *testing.B) {
 	ca, cb, cc := benchCodes(64)
 	sch := scoring.DNADefault()
 	st := newScoreTablesOf[T](ca, cb, cc, sch)
@@ -82,64 +63,29 @@ func benchInteriorOf[T mat.Cell](b *testing.B, packed bool) {
 	defer mat.PutTensor3Of(t)
 	ge2 := T(2 * sch.GapExtend())
 	var lv laneVec
-	if packed {
-		initLaneVec(&lv, ca, cb, cc, sch, ge2)
-	}
+	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	si, sj, sk := fullSpans(ca, cb, cc)
 	cells := int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if packed {
-			fillRangePacked(t, st, ge2, si, sj, sk, &lv)
-		} else {
-			fillRange(t, st, ge2, si, sj, sk)
-		}
+		fillRangePacked(t, st, ge2, si, sj, sk, &lv)
 	}
 	b.StopTimer() // exclude the metric bookkeeping from the alloc count
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
 // BenchmarkKernelFillRangePackedInterior measures the lane-packed interior
-// at Score width against the same box as BenchmarkKernelFillRangeInterior.
+// at Score width.
 func BenchmarkKernelFillRangePackedInterior(b *testing.B) {
-	benchInteriorOf[mat.Score](b, true)
-}
-
-// BenchmarkKernelFillRangeInterior16 measures the scalar interior on an
-// int16 lattice.
-func BenchmarkKernelFillRangeInterior16(b *testing.B) {
-	benchInteriorOf[int16](b, false)
+	benchInteriorOf[mat.Score](b)
 }
 
 // BenchmarkKernelFillRangePackedInterior16 measures the lane-packed
 // interior on an int16 lattice — the planner's preferred sequential kernel
 // when the score bound allows narrowing.
 func BenchmarkKernelFillRangePackedInterior16(b *testing.B) {
-	benchInteriorOf[int16](b, true)
-}
-
-// BenchmarkKernelPrunedInterior measures the admissibility-gated kernel
-// with prebuilt bounds, tables, and lattice.
-func BenchmarkKernelPrunedInterior(b *testing.B) {
-	ca, cb, cc := benchCodes(64)
-	sch := scoring.DNADefault()
-	bc := newBoundCtx(ca, cb, cc, sch, mat.NegInf/4)
-	defer bc.release()
-	st := newScoreTables(ca, cb, cc, sch)
-	defer st.release()
-	t := mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
-	defer mat.PutTensor3(t)
-	ge2 := 2 * sch.GapExtend()
-	si, sj, sk := fullSpans(ca, cb, cc)
-	cells := int64(len(ca)+1) * int64(len(cb)+1) * int64(len(cc)+1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fillRangePruned(t, st, bc, ge2, si, sj, sk)
-	}
-	b.StopTimer() // exclude the metric bookkeeping from the alloc count
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
+	benchInteriorOf[int16](b)
 }
 
 // BenchmarkKernelAffineInterior measures the 7-state transition kernel
@@ -221,7 +167,9 @@ func BenchmarkKernelTraceback(b *testing.B) {
 	t := mat.GetTensor3(len(ca)+1, len(cb)+1, len(cc)+1)
 	defer mat.PutTensor3(t)
 	si, sj, sk := fullSpans(ca, cb, cc)
-	fillRange(t, st, 2*sch.GapExtend(), si, sj, sk)
+	var lv laneVec
+	initLaneVec(&lv, ca, cb, cc, sch, 2*sch.GapExtend())
+	fillRangePacked(t, st, 2*sch.GapExtend(), si, sj, sk, &lv)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := tracebackTensor(t, ca, cb, cc, sch); err != nil {

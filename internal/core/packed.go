@@ -12,8 +12,9 @@ import (
 // cells with full instruction-level parallelism) plus the serial GGX chain
 // — one add and one max per cell — threaded through at the end. Integer max
 // is associative and commutative, so the regrouped chains produce exactly
-// the values the scalar loop does: every packed kernel is bit-identical to
-// its scalar sibling, and the differential suite pins that.
+// the values the scalar recurrence does: the differential suite pins every
+// packed interior to the verbatim scalar oracles in reference_test.go.
+// They are the only linear-gap lattice fills; no scalar sibling ships.
 //
 // The unrolled bodies carry no bounds checks (verified with
 // -gcflags=-d=ssa/check_bce). The compiler's prove pass cannot see through
@@ -26,9 +27,13 @@ import (
 // indices compared against length facts from the loop condition is the one
 // shape the prove pass eliminates completely.
 
-// fillRangePacked is fillRange with the lane-packed interior. The boundary
-// peeling (i == 0 plane, j == 0 row, k == 0 column) is shared with the
-// scalar kernel — boundaries are O(n²) work and not worth a second copy.
+// fillRangePacked computes every lattice cell in the box si×sj×sk in
+// lexicographic order. The caller guarantees all predecessor cells outside
+// the box are already computed (true for wavefront-scheduled blocks at any
+// worker count). Pair scores come from the precomputed tables; ge2 is
+// 2·GapExtend. The box is peeled into explicit boundary passes (i == 0
+// plane, j == 0 row, k == 0 column) and the lane-packed interior, so the
+// interior carries no per-cell boundary tests.
 func fillRangePacked[T mat.Cell](t *mat.Tensor3Of[T], st *scoreTablesOf[T], ge2 T, si, sj, sk wavefront.Span, lv *laneVec) {
 	if fpFill.Fire() {
 		panic("faultpoint: core.fill.block")
@@ -70,7 +75,7 @@ func fillLanePacked[T mat.Cell](t *mat.Tensor3Of[T], ge2 T, i, j int, sAB T, acR
 	}
 	// Vector fast path: hand whole 16- or 8-cell blocks to the assembly
 	// lane kernel; the advancing-window loop below finishes the tail.
-	if lv != nil && lv.use16 {
+	if lv.use16 {
 		if nblk := (hi - lo) &^ 15; nblk > 0 {
 			setLane16(&lv.a16, curLane, lane11, lane10, lane01, acRow, bcRow, lo-1, nblk, sAB)
 			laneFill16(&lv.a16)
@@ -79,7 +84,7 @@ func fillLanePacked[T mat.Cell](t *mat.Tensor3Of[T], ge2 T, i, j int, sAB T, acR
 				return
 			}
 		}
-	} else if lv != nil && lv.use32 {
+	} else if lv.use32 {
 		if nblk := (hi - lo) &^ 7; nblk > 0 {
 			setLane32(&lv.a32, curLane, lane11, lane10, lane01, acRow, bcRow, lo-1, nblk, sAB)
 			laneFill32(&lv.a32)
@@ -143,10 +148,12 @@ func fillLanePacked[T mat.Cell](t *mat.Tensor3Of[T], ge2 T, i, j int, sAB T, acR
 	}
 }
 
-// fillPlaneRangePacked is fillPlaneRange with the lane-packed interior: the
-// same four-cells-per-step walk over one (j, k) plane of the linear-space
-// sweep. planeSweep always uses it — the packed interior is bit-identical,
-// so the scalar fillPlaneRange survives only as the pinning reference.
+// fillPlaneRangePacked computes cells (j, k) of one i-plane of the
+// linear-space sweep inside the given spans, with the same
+// four-cells-per-step walk as fillLanePacked. prev is the completed
+// (i-1)-plane; a nil prev means i == 0 (only the in-plane moves GXX, GXG,
+// GGX apply). ai is the residue consumed when advancing in A; prof is the
+// residue profile against C, serving both the A-vs-C and B-vs-C lookups.
 func fillPlaneRangePacked(cur, prev *mat.Plane, ai int8, cb []int8, sch *scoring.Scheme, prof *pairProfile, sj, sk wavefront.Span, lv *laneVec) {
 	ge2 := 2 * sch.GapExtend()
 	if prev == nil {
@@ -185,7 +192,7 @@ func fillPlaneRangePacked(cur, prev *mat.Plane, ai int8, cb []int8, sch *scoring
 		if lo >= hi {
 			continue
 		}
-		if lv != nil && lv.use32 {
+		if lv.use32 {
 			if nblk := (hi - lo) &^ 7; nblk > 0 {
 				setLane32(&lv.a32, curRow, prev11Row, prev10Row, cur01Row, acRowFull, bcRow, lo-1, nblk, sAB)
 				laneFill32(&lv.a32)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/mat"
@@ -10,12 +11,12 @@ import (
 )
 
 // Differential suite for the lane-packed kernels: fillRangePacked and
-// fillPlaneRangePacked must be bit-identical to the scalar fillRange /
-// fillPlaneRange at every cell width, with the vector (assembly) path both
-// enabled and disabled, on full boxes and on blocked sub-spans whose lanes
-// start and end mid-vector. The scalar kernels are themselves pinned to the
-// pre-optimization references in tables_diff_test.go, so transitively the
-// packed kernels inherit that contract.
+// fillPlaneRangePacked must be bit-identical to the verbatim scalar
+// oracles refFillRange / refFillPlaneRange (reference_test.go) at every
+// cell width, with the vector (assembly) path both enabled and disabled,
+// on full boxes and on blocked sub-spans whose lanes start and end
+// mid-vector. Narrow lattices are compared cell by cell against the int32
+// oracle.
 
 // packedShapes extends diffShapes with lane lengths that exercise the
 // vector blocks: ≥17 cells hits the 16-lane int16 block, 31/32 hit
@@ -43,13 +44,15 @@ func withLaneAsm(t *testing.T, f func(t *testing.T)) {
 	}
 }
 
-func wantTensorsEqualOf[T mat.Cell](t *testing.T, got, want *mat.Tensor3Of[T]) {
+// wantTensorMatchesOracle compares a lattice of any cell width against the
+// int32 oracle lattice cell by cell.
+func wantTensorMatchesOracle[T mat.Cell](t *testing.T, got *mat.Tensor3Of[T], want *mat.Tensor3) {
 	t.Helper()
 	ni, nj, nk := want.Dims()
 	for i := 0; i < ni; i++ {
 		for j := 0; j < nj; j++ {
 			for k := 0; k < nk; k++ {
-				if g, w := got.At(i, j, k), want.At(i, j, k); g != w {
+				if g, w := mat.Score(got.At(i, j, k)), want.At(i, j, k); g != w {
 					t.Fatalf("cell (%d,%d,%d): got %d, want %d", i, j, k, g, w)
 				}
 			}
@@ -57,8 +60,8 @@ func wantTensorsEqualOf[T mat.Cell](t *testing.T, got, want *mat.Tensor3Of[T]) {
 	}
 }
 
-// diffPackedOf fills one box with the scalar kernel at width T and compares
-// the packed kernel against it on the full span and on two block
+// diffPackedOf fills one box with the scalar oracle and compares the packed
+// kernel at width T against it on the full span and on two block
 // decompositions (small blocks stress the carried-cell entry paths, large
 // blocks let the vector kernel run inside sub-spans).
 func diffPackedOf[T mat.Cell](t *testing.T, ca, cb, cc []int8, sch *scoring.Scheme) {
@@ -71,21 +74,21 @@ func diffPackedOf[T mat.Cell](t *testing.T, ca, cb, cc []int8, sch *scoring.Sche
 	defer st.release()
 	ge2 := T(2 * sch.GapExtend())
 
-	want := mat.NewTensor3Of[T](n+1, m+1, p+1)
-	fillRange(want, st, ge2, si, sj, sk)
+	want := mat.NewTensor3(n+1, m+1, p+1)
+	refFillRange(want, ca, cb, cc, sch, si, sj, sk)
 
 	var lv laneVec
 	initLaneVec(&lv, ca, cb, cc, sch, ge2)
 	got := mat.NewTensor3Of[T](n+1, m+1, p+1)
 	fillRangePacked(got, st, ge2, si, sj, sk, &lv)
-	wantTensorsEqualOf(t, got, want)
+	wantTensorMatchesOracle(t, got, want)
 
 	for _, bs := range []int{3, 20} {
 		blocked := mat.NewTensor3Of[T](n+1, m+1, p+1)
 		runBlocked3D(n, m, p, bs, func(si, sj, sk wavefront.Span) {
 			fillRangePacked(blocked, st, ge2, si, sj, sk, &lv)
 		})
-		wantTensorsEqualOf(t, blocked, want)
+		wantTensorMatchesOracle(t, blocked, want)
 	}
 }
 
@@ -137,7 +140,7 @@ func TestFillPlaneRangePackedMatchesScalar(t *testing.T) {
 						if i > 0 {
 							ai = ca[i-1]
 						}
-						fillPlaneRange(dstW, srcW, ai, cb, sch, prof, sj, sk)
+						refFillPlaneRange(dstW, srcW, ai, cb, cc, sch, sj, sk)
 						fillPlaneRangePacked(dstG, srcG, ai, cb, sch, prof, sj, sk, &lv)
 						runBlocked3D(0, m, p, 5, func(_, bj, bk wavefront.Span) {
 							fillPlaneRangePacked(dstB, srcB, ai, cb, sch, prof, bj, bk, &lv)
@@ -159,49 +162,24 @@ func TestFillPlaneRangePackedMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestPackedAlignersMatchFull pins the packed public aligner — at both
-// negotiated widths — to the scalar one-worker fill's score and moves,
-// across worker counts.
+// TestPackedAlignersMatchFull pins the public aligner — at both negotiated
+// widths and across worker counts — to the score and moves of the verbatim
+// scalar oracle lattice.
 func TestPackedAlignersMatchFull(t *testing.T) {
 	ctx := context.Background()
 	sch := scoring.DNADefault()
 	withLaneAsm(t, func(t *testing.T) {
 		for _, shape := range packedShapes {
 			tr := diffTriple(sch, 11000+int64(shape[0]+shape[2]), shape[0], shape[1], shape[2])
-			full, err := AlignParallel(ctx, tr, sch, Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			wantMoves, wantScore := refFullAlign(t, tr.A.Codes(), tr.B.Codes(), tr.C.Codes(), sch)
 			for _, width := range []int{0, 16} {
-				packed, err := AlignParallelPacked(ctx, tr, sch, Options{CellWidth: width, Workers: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if packed.Score != full.Score {
-					t.Fatalf("shape %v width %d: one-worker AlignParallelPacked score %d, AlignParallel %d",
-						shape, width, packed.Score, full.Score)
-				}
-				for i := range packed.Moves {
-					if packed.Moves[i] != full.Moves[i] {
-						t.Fatalf("shape %v width %d: one-worker AlignParallelPacked move %d = %v, AlignParallel %v",
-							shape, width, i, packed.Moves[i], full.Moves[i])
-					}
-				}
-				for _, w := range []int{2, 4} {
-					par, err := AlignParallelPacked(ctx, tr, sch, Options{CellWidth: width, Workers: w, BlockSize: 6})
+				for _, w := range []int{1, 2, 4} {
+					aln, err := AlignParallel(ctx, tr, sch, Options{CellWidth: width, Workers: w, BlockSize: 6})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if par.Score != full.Score {
-						t.Fatalf("shape %v width %d w=%d: AlignParallelPacked score %d, one-worker AlignParallel %d",
-							shape, width, w, par.Score, full.Score)
-					}
-					for i := range par.Moves {
-						if par.Moves[i] != full.Moves[i] {
-							t.Fatalf("shape %v width %d w=%d: AlignParallelPacked move %d = %v, one-worker AlignParallel %v",
-								shape, width, w, i, par.Moves[i], full.Moves[i])
-						}
-					}
+					wantSameMoves(t, fmt.Sprintf("shape %v width %d w=%d", shape, width, w),
+						aln.Score, wantScore, aln.Moves, wantMoves)
 				}
 			}
 		}

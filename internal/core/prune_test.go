@@ -8,6 +8,11 @@ import (
 	"repro/internal/seq"
 )
 
+// The Carrillo–Lipman pruning contract — optimum preserved, tighter bounds
+// prune more, weaker provided bounds are ignored, empty sequences work —
+// is served by the sparse band (AlignBounded), which the public "pruned"
+// and "pruned-parallel" names resolve to.
+
 func TestTrivialAlignmentValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
@@ -40,7 +45,7 @@ func TestAlignPrunedPreservesOptimum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		aln, stats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+		aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -63,11 +68,11 @@ func TestAlignPrunedTighterBoundPrunesMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, loose, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	_, loose, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	alnTight, tight, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
+	alnTight, tight, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +97,7 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
+	_, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1}, ref.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +109,11 @@ func TestAlignPrunedSimilarSequencesPruneHard(t *testing.T) {
 func TestAlignPrunedIgnoresWeakerProvidedBound(t *testing.T) {
 	tr := relatedTriple(8, 20, 0.2)
 	// A hugely negative provided bound must not weaken the built-in one.
-	_, withWeak, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1}, -1<<20)
+	_, withWeak, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1}, -1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, base, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	_, base, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +140,55 @@ func TestAlignPrunedEmptySequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, _, err := AlignPrunedParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	aln, _, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if aln.Score != ref.Score {
 		t.Fatalf("pruned %d != full %d", aln.Score, ref.Score)
+	}
+}
+
+func TestAlignPrunedParallelEqualsSequentialPruned(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 8; trial++ {
+		tr := relatedTriple(rng.Int63(), 10+rng.Intn(25), 0.15)
+		seqAln, seqStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parAln, parStats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 4, BlockSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAlignment(t, parAln, dnaSch)
+		if parAln.Score != seqAln.Score {
+			t.Fatalf("trial %d: bounded at 4 workers %d != one worker %d", trial, parAln.Score, seqAln.Score)
+		}
+		if parStats.EvaluatedCells != seqStats.EvaluatedCells {
+			t.Fatalf("trial %d: evaluated cells differ: %d vs %d (the bound is deterministic)",
+				trial, parStats.EvaluatedCells, seqStats.EvaluatedCells)
+		}
+		if parStats.LowerBound != seqStats.LowerBound {
+			t.Fatalf("trial %d: bounds differ: %d vs %d", trial, parStats.LowerBound, seqStats.LowerBound)
+		}
+	}
+}
+
+func TestAlignPrunedParallelWithHeuristicBound(t *testing.T) {
+	tr := relatedTriple(71, 40, 0.1)
+	ref, err := AlignParallel(context.Background(), tr, dnaSch, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aln, stats, err := AlignBounded(context.Background(), tr, dnaSch, Options{Workers: 3}, ref.Score)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aln.Score != ref.Score {
+		t.Fatalf("bounded %d != %d", aln.Score, ref.Score)
+	}
+	if stats.Fraction() >= 0.5 {
+		t.Fatalf("similar sequences with optimal bound: fraction %.2f, expected strong pruning", stats.Fraction())
 	}
 }

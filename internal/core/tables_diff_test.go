@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"repro/internal/alignment"
@@ -119,8 +120,10 @@ func TestFillRangeMatchesReference(t *testing.T) {
 
 				st := newScoreTables(ca, cb, cc, sch)
 				ge2 := 2 * sch.GapExtend()
+				var lv laneVec
+				initLaneVec(&lv, ca, cb, cc, sch, ge2)
 				got := mat.NewTensor3(n+1, m+1, p+1)
-				fillRange(got, st, ge2, si, sj, sk)
+				fillRangePacked(got, st, ge2, si, sj, sk, &lv)
 				wantTensorsEqual(t, got, want)
 
 				// The same kernel applied block-wise must land on the same
@@ -128,7 +131,7 @@ func TestFillRangeMatchesReference(t *testing.T) {
 				// paths.
 				blocked := mat.NewTensor3(n+1, m+1, p+1)
 				runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-					fillRange(blocked, st, ge2, si, sj, sk)
+					fillRangePacked(blocked, st, ge2, si, sj, sk, &lv)
 				})
 				wantTensorsEqual(t, blocked, want)
 				st.release()
@@ -150,6 +153,8 @@ func TestFillPlaneRangeMatchesReference(t *testing.T) {
 				sj := wavefront.Span{Lo: 0, Hi: m + 1}
 				sk := wavefront.Span{Lo: 0, Hi: p + 1}
 				prof := newPairProfile(cc, sch)
+				var lv laneVec
+				initLaneVec(&lv, ca, cb, cc, sch, 2*sch.GapExtend())
 
 				wantPrev, wantCur := mat.NewPlane(m+1, p+1), mat.NewPlane(m+1, p+1)
 				gotPrev, gotCur := mat.NewPlane(m+1, p+1), mat.NewPlane(m+1, p+1)
@@ -161,9 +166,9 @@ func TestFillPlaneRangeMatchesReference(t *testing.T) {
 						ai = ca[i-1]
 					}
 					refFillPlaneRange(dstW, srcW, ai, cb, cc, sch, sj, sk)
-					fillPlaneRange(dstG, srcG, ai, cb, sch, prof, sj, sk)
+					fillPlaneRangePacked(dstG, srcG, ai, cb, sch, prof, sj, sk, &lv)
 					runBlocked3D(0, m, p, 3, func(_, bj, bk wavefront.Span) {
-						fillPlaneRange(dstB, srcB, ai, cb, sch, prof, bj, bk)
+						fillPlaneRangePacked(dstB, srcB, ai, cb, sch, prof, bj, bk, &lv)
 					})
 					wantPlanesEqual(t, i, dstG, dstW)
 					wantPlanesEqual(t, i, dstB, dstW)
@@ -181,10 +186,28 @@ func TestFillPlaneRangeMatchesReference(t *testing.T) {
 	}
 }
 
-func TestFillRangePrunedMatchesReference(t *testing.T) {
+// TestAlignBoundedMatchesPrunedOracle pins the sparse Carrillo–Lipman band
+// to the verbatim dense pruned fill (refFillRangePruned) across
+// identities and bounds: the band must store every cell the dense kernel
+// admits, so it evaluates at least as many cells, and the band traceback
+// must reproduce the dense lattice's moves and score exactly.
+func TestAlignBoundedMatchesPrunedOracle(t *testing.T) {
+	ctx := context.Background()
 	sch := scoring.DNADefault()
+	type load struct {
+		name string
+		tr   seq.Triple
+	}
+	var loads []load
 	for _, shape := range diffShapes {
-		tr := diffTriple(sch, 3000+int64(shape[2]), shape[0], shape[1], shape[2])
+		loads = append(loads, load{"random", diffTriple(sch, 3000+int64(shape[2]), shape[0], shape[1], shape[2])})
+	}
+	for _, id := range []float64{0.6, 0.8, 0.95} {
+		g := seq.NewGenerator(seq.DNA, 3100+int64(id*100))
+		loads = append(loads, load{fmt.Sprintf("id%.0f", id*100), g.RelatedTriple(24, seq.Uniform(1-id))})
+	}
+	for _, l := range loads {
+		tr := l.tr
 		ca, cb, cc, err := prepare(tr, sch)
 		if err != nil {
 			t.Fatal(err)
@@ -193,43 +216,56 @@ func TestFillRangePrunedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt, err := Score(context.Background(), tr, sch, Options{})
+		opt, err := Score(ctx, tr, sch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A loose bound admits everything, the trivial bound is the default,
-		// and the exact optimum prunes hardest while staying valid.
-		for _, bound := range []mat.Score{mat.NegInf / 4, trivial.Score, opt} {
-			n, m, p := len(ca), len(cb), len(cc)
+		n, m, p := len(ca), len(cb), len(cc)
+		// The trivial bound is the default; the exact optimum prunes
+		// hardest while staying valid.
+		for _, bound := range []mat.Score{trivial.Score, opt} {
 			pc := newRefPruneCtx(ca, cb, cc, sch, bound)
-			bc := newBoundCtx(ca, cb, cc, sch, bound)
-			si := wavefront.Span{Lo: 0, Hi: n + 1}
-			sj := wavefront.Span{Lo: 0, Hi: m + 1}
-			sk := wavefront.Span{Lo: 0, Hi: p + 1}
 			want := mat.NewTensor3(n+1, m+1, p+1)
-			wantEval := refFillRangePruned(want, ca, cb, cc, sch, pc, si, sj, sk)
-
-			st := newScoreTables(ca, cb, cc, sch)
-			ge2 := 2 * sch.GapExtend()
-			got := mat.NewTensor3(n+1, m+1, p+1)
-			gotEval := fillRangePruned(got, st, bc, ge2, si, sj, sk)
-			if gotEval != wantEval {
-				t.Fatalf("bound %d: evaluated %d cells, want %d", bound, gotEval, wantEval)
+			wantEval := refFillRangePruned(want, ca, cb, cc, sch, pc,
+				wavefront.Span{Lo: 0, Hi: n + 1}, wavefront.Span{Lo: 0, Hi: m + 1}, wavefront.Span{Lo: 0, Hi: p + 1})
+			wantMoves, err := tracebackTensor(want, ca, cb, cc, sch)
+			if err != nil {
+				t.Fatalf("%s bound %d: oracle traceback: %v", l.name, bound, err)
 			}
-			wantTensorsEqual(t, got, want)
 
-			blocked := mat.NewTensor3(n+1, m+1, p+1)
-			var blockedEval int64
-			runBlocked3D(n, m, p, 3, func(si, sj, sk wavefront.Span) {
-				blockedEval += fillRangePruned(blocked, st, bc, ge2, si, sj, sk)
-			})
-			if blockedEval != wantEval {
-				t.Fatalf("bound %d: blocked evaluated %d cells, want %d", bound, blockedEval, wantEval)
+			bc := newBoundCtx(ca, cb, cc, sch, bound)
+			jLo, jHi, kLo, kHi, _ := planBand(bc, n, m, p)
+			band := mat.NewBandTensor3(n+1, m+1, p+1, jLo, jHi, kLo, kHi)
+			for i := 0; i <= n; i++ {
+				for j := 0; j <= m; j++ {
+					lane, lo, ok := band.Lane(i, j)
+					abPart := pc.fAB.At(i, j) + pc.bAB.At(i, j)
+					for k := 0; k <= p; k++ {
+						ub := abPart + pc.fAC.At(i, k) + pc.bAC.At(i, k) + pc.fBC.At(j, k) + pc.bBC.At(j, k)
+						if ub >= bound && (!ok || k < lo || k >= lo+len(lane)) {
+							t.Fatalf("%s bound %d: admissible cell (%d,%d,%d) outside the band", l.name, bound, i, j, k)
+						}
+					}
+				}
 			}
-			wantTensorsEqual(t, blocked, want)
-			st.release()
-			pc.release()
+			band.Release()
 			bc.release()
+			pc.release()
+
+			for _, w := range []int{1, 3} {
+				aln, st, err := AlignBounded(ctx, tr, sch, Options{Workers: w}, bound)
+				if err != nil {
+					t.Fatalf("%s bound %d w=%d: %v", l.name, bound, w, err)
+				}
+				if aln.Score != want.At(n, m, p) || !sameMoves(aln.Moves, wantMoves) {
+					t.Fatalf("%s bound %d w=%d: band alignment (score %d) differs from the dense oracle (score %d)",
+						l.name, bound, w, aln.Score, want.At(n, m, p))
+				}
+				if st.EvaluatedCells < wantEval {
+					t.Fatalf("%s bound %d w=%d: band evaluated %d cells, dense oracle %d",
+						l.name, bound, w, st.EvaluatedCells, wantEval)
+				}
+			}
 		}
 	}
 }
@@ -328,12 +364,12 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatalf("Score %d, full %d", scoreOnly, full.Score)
 		}
 
-		pruned, _, err := AlignPrunedParallel(ctx, tr, sch, Options{Workers: 1})
+		bounded, _, err := AlignBounded(ctx, tr, sch, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pruned.Score != full.Score {
-			t.Fatalf("pruned score %d, full %d", pruned.Score, full.Score)
+		if bounded.Score != full.Score {
+			t.Fatalf("bounded score %d, full %d", bounded.Score, full.Score)
 		}
 
 		lin, err := AlignParallelLinear(ctx, tr, sch, Options{Workers: 1})
@@ -345,12 +381,12 @@ func TestAlignersAgreeOnRandomTriples(t *testing.T) {
 			t.Fatalf("linear score %d, full %d", lin.Score, full.Score)
 		}
 
-		diag, err := AlignDiagonal(ctx, tr, sch, Options{})
+		diag, err := alignDiagonal(ctx, tr, sch, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diag.Score != full.Score {
-			t.Fatalf("AlignDiagonal score %d, full %d", diag.Score, full.Score)
+			t.Fatalf("alignDiagonal score %d, full %d", diag.Score, full.Score)
 		}
 
 		width := tr.A.Len() + tr.B.Len() + tr.C.Len() + 1
@@ -453,12 +489,12 @@ func TestParallelKernelsBitIdenticalAcrossSchedules(t *testing.T) {
 						shape, w, i, affPar.Moves[i], aff.Moves[i])
 				}
 			}
-			prunedPar, _, err := AlignPrunedParallel(ctx, tr, sch, opt)
+			boundedPar, _, err := AlignBounded(ctx, tr, sch, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if prunedPar.Score != full.Score {
-				t.Fatalf("shape %v w=%d: AlignPrunedParallel score %d, full %d", shape, w, prunedPar.Score, full.Score)
+			if boundedPar.Score != full.Score {
+				t.Fatalf("shape %v w=%d: AlignBounded score %d, full %d", shape, w, boundedPar.Score, full.Score)
 			}
 			linPar, err := AlignParallelLinear(ctx, tr, sch, opt)
 			if err != nil {

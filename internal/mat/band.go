@@ -6,9 +6,9 @@ import "fmt"
 // to a band: each i-row stores a contiguous j-hull [jLo[i], jHi[i]), and
 // each (i, j) lane inside the hull stores one contiguous k-interval
 // [kLo, kHi). Reads outside the stored band return NegInf, which is
-// exactly the value a Carrillo–Lipman-pruned cell holds in the dense
-// kernels — so the banded DP and its traceback see the same lattice the
-// pruned full-matrix kernel would have produced, at a memory cost that
+// exactly the value a Carrillo–Lipman-pruned cell holds in a dense
+// full-matrix fill — so the banded DP and its traceback see the same
+// lattice a pruned full-matrix fill would produce, at a memory cost that
 // scales with the admitted band instead of ni·nj·nk.
 //
 // Cell values are always Score width: the band kernels trade the packed
@@ -136,8 +136,7 @@ func (b *BandTensor3) Lane(i, j int) (cells []Score, kLo int, ok bool) {
 }
 
 // At returns the value at (i, j, k), or NegInf when the cell is not
-// stored — the pruned-cell convention of the dense Carrillo–Lipman
-// kernels.
+// stored — the pruned-cell convention of a dense Carrillo–Lipman fill.
 func (b *BandTensor3) At(i, j, k int) Score {
 	l := b.lane(i, j)
 	if l == nil || k < int(l.kLo) || k >= int(l.kHi) {

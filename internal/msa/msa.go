@@ -3,7 +3,8 @@
 // alignment. Both run in O(n²) time — orders of magnitude faster than the
 // exact O(n³) dynamic program — but only approximate the optimal
 // sum-of-pairs score. Their scores also serve as valid Carrillo–Lipman
-// lower bounds for core.AlignPrunedParallel.
+// lower bounds for the bounded-search kernels (core.AlignBounded,
+// core.AlignAStar).
 package msa
 
 import (

@@ -109,7 +109,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	aln, stats, err := core.AlignPrunedParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1}, cs.Score)
+	aln, stats, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{Workers: 1}, cs.Score)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestHeuristicScoreIsValidPruningBound(t *testing.T) {
 	if aln.Score != opt.Score {
 		t.Fatalf("pruned with heuristic bound: %d != %d", aln.Score, opt.Score)
 	}
-	_, base, err := core.AlignPrunedParallel(context.Background(), tr, dnaSch, core.Options{Workers: 1})
+	_, base, err := core.AlignBounded(context.Background(), tr, dnaSch, core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,14 +46,10 @@ func rateFor(spec *KernelSpec, workers int) float64 {
 
 // Calibration maps benchsuite kernel names to single-worker Mcells/s.
 var Calibration = map[string]float64{
-	"full":            259.65,
 	"full-packed":     1331.86,
-	"parallel":        276.49,
 	"parallel-packed": 636.59,
 	"score":           1391.16,
 	"linear":          663.69,
-	"pruned":          436.30,
-	"diagonal":        102.04,
 	"affine7":         14.64,
 	"pairwise-global": 594.78,
 	"pairwise-gotoh":  226.99,

@@ -37,6 +37,7 @@ package plan
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -199,8 +200,10 @@ type Request struct {
 // served verbatim by alignd's POST /v1/plan.
 type ExecutionPlan struct {
 	// Algorithm is the kernel the plan selects, under the name the request
-	// used for it: an explicit alias ("full") is echoed rather than
-	// replaced by its kernel's name ("parallel").
+	// used for it: an explicit alias ("full", "diagonal", "pruned") is
+	// echoed rather than replaced by its kernel's name ("parallel-packed",
+	// "bounded"). After a downgrade it names the target, keeping to
+	// one-worker names when the request used one ("full→linear").
 	Algorithm string `json:"algorithm"`
 	// Workers is the pool size the kernel will use: the resolved request
 	// worker count for kernels that run on the wavefront pool, 1 for those
@@ -271,16 +274,18 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 	} else {
 		spec, downgrades = autoSpec(req, gap, workers, autoBudget(req))
 	}
-	// name is the plan's public name for spec. A request made under an
-	// alias stays among the aliases as it walks down the ladder, so an
-	// over-budget "full" reads "full→linear".
+	// name is the plan's public name for spec. A request made under a
+	// one-worker name stays among them as it walks down the ladder, so an
+	// over-budget "full" reads "full→linear" where "parallel" reads
+	// "parallel→parallel-linear"; every other name steps to the target's
+	// kernel name.
 	name := spec.Name
 	if req.Algorithm != "" {
 		name = req.Algorithm
 	}
 	down := func(to *KernelSpec, why string) {
 		toName := to.Name
-		if name != spec.Name && len(to.Aliases) > 0 {
+		if oneWorkerName(spec, name) && len(to.Aliases) > 0 && oneWorkerName(to, to.Aliases[0]) {
 			toName = to.Aliases[0]
 		}
 		downgrades = append(downgrades, name+"→"+toName+": "+why)
@@ -358,6 +363,21 @@ func Resolve(req Request) (*ExecutionPlan, *KernelSpec, error) {
 	pl.EstMcellsPerSec = rateFor(spec, pl.Workers)
 	pl.EstDuration = estDuration(pl.EstCells, pl.EstMcellsPerSec)
 	return pl, spec, nil
+}
+
+// oneWorkerName reports whether name is one of spec's one-worker aliases:
+// those listed before the first alias that spells "parallel" (see
+// KernelSpec.Aliases).
+func oneWorkerName(spec *KernelSpec, name string) bool {
+	for _, a := range spec.Aliases {
+		if strings.Contains(a, "parallel") {
+			return false
+		}
+		if a == name {
+			return true
+		}
+	}
+	return false
 }
 
 // negotiatedWidth is the lattice cell width (in bits) the kernel will run

@@ -3,6 +3,7 @@ package plan
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -10,13 +11,14 @@ import (
 	"repro/internal/core"
 )
 
-// TestRegistryComplete pins the registry to the public algorithm list: 12
-// kernels under 17 names (five folded sequential twins survive as
-// aliases), each with a working estimator and a run function.
+// TestRegistryComplete pins the registry to the public algorithm list: 9
+// kernels under 17 names (the folded sequential twins and the retired
+// scalar, plane-synchronized and dense pruned kernels survive as aliases),
+// each with a working estimator and a run function.
 func TestRegistryComplete(t *testing.T) {
 	ks := Kernels()
-	if len(ks) != 12 {
-		t.Fatalf("registry has %d kernels, want 12", len(ks))
+	if len(ks) != 9 {
+		t.Fatalf("registry has %d kernels, want 9", len(ks))
 	}
 	names := 0
 	for _, k := range ks {
@@ -448,11 +450,72 @@ func TestTileDims(t *testing.T) {
 	}
 }
 
+// TestDowngradeNamesStable pins how a budget downgrade names its target
+// for every public name: a one-worker name stays among one-worker names
+// ("full→linear"), every other name steps to the target's kernel name
+// ("parallel→parallel-linear", "diagonal→parallel-linear"). The retired
+// dense pruned names resolve to the band, which has no one-worker name.
+// A 2 MiB budget prices every 100³ lattice out and fits every plane.
+func TestDowngradeNamesStable(t *testing.T) {
+	want := map[string]string{
+		"full":            "full→linear",
+		"full-packed":     "full-packed→linear",
+		"parallel":        "parallel→parallel-linear",
+		"parallel-packed": "parallel-packed→parallel-linear",
+		"diagonal":        "diagonal→parallel-linear",
+		"pruned":          "pruned→parallel-linear",
+		"pruned-parallel": "pruned-parallel→parallel-linear",
+		"bounded":         "bounded→parallel-linear",
+		"astar":           "astar→parallel-linear",
+		"affine":          "affine→affine-linear",
+		"affine-parallel": "affine-parallel→affine-linear",
+		// Kernels whose footprint already fits do not downgrade.
+		"linear": "", "parallel-linear": "", "affine-linear": "",
+		"center-star": "", "center-star-refined": "", "progressive": "",
+	}
+	if len(want) != 17 {
+		t.Fatalf("table covers %d names, want all 17", len(want))
+	}
+	for name, entry := range want {
+		gap := GapLinear
+		if strings.HasPrefix(name, "affine") {
+			gap = GapAffine
+		}
+		if _, ok := Lookup(name); !ok {
+			t.Fatalf("%s: not registered", name)
+		}
+		for _, w := range []int{1, 2} {
+			pl, _, err := Resolve(Request{Shape: Shape{NA: 100, NB: 100, NC: 100}, Gap: gap,
+				Algorithm: name, Workers: w, MaxMemoryBytes: 2 << 20})
+			if err != nil {
+				t.Fatalf("%s w=%d: %v", name, w, err)
+			}
+			var got string
+			if len(pl.Downgrades) > 1 {
+				t.Fatalf("%s w=%d: %d downgrades %q, want at most one", name, w, len(pl.Downgrades), pl.Downgrades)
+			}
+			if len(pl.Downgrades) == 1 {
+				from, to, ok := ParseDowngrade(pl.Downgrades[0])
+				if !ok {
+					t.Fatalf("%s w=%d: unparsable downgrade %q", name, w, pl.Downgrades[0])
+				}
+				got = from + "→" + to
+				if pl.Algorithm != to {
+					t.Errorf("%s w=%d: plan algorithm %q, want the downgrade target %q", name, w, pl.Algorithm, to)
+				}
+			}
+			if got != entry {
+				t.Errorf("%s w=%d: downgrade %q, want %q", name, w, got, entry)
+			}
+		}
+	}
+}
+
 // TestParseDowngrade round-trips the entry format.
 func TestParseDowngrade(t *testing.T) {
-	entry := downgradeEntry(kernels["parallel"], kernels["parallel-linear"], Request{Shape: Shape{NA: 100, NB: 100, NC: 100}}, 1<<20)
+	entry := downgradeEntry(kernels["parallel-packed"], kernels["parallel-linear"], Request{Shape: Shape{NA: 100, NB: 100, NC: 100}}, 1<<20)
 	from, to, ok := ParseDowngrade(entry)
-	if !ok || from != "parallel" || to != "parallel-linear" {
+	if !ok || from != "parallel-packed" || to != "parallel-linear" {
 		t.Fatalf("ParseDowngrade(%q) = %q, %q, %v", entry, from, to, ok)
 	}
 	if _, _, ok := ParseDowngrade("not a downgrade"); ok {
@@ -503,8 +566,9 @@ func TestFoldedKernelPlans(t *testing.T) {
 	// Explicit aliases: echoed by name, planned on the canonical kernel's
 	// tiling and rate at the resolved worker count.
 	for alias, canonical := range map[string]string{
-		"full": "parallel", "full-packed": "parallel-packed", "linear": "parallel-linear",
-		"pruned": "pruned-parallel", "affine": "affine-parallel",
+		"full": "parallel-packed", "full-packed": "parallel-packed", "parallel": "parallel-packed",
+		"diagonal": "parallel-packed", "linear": "parallel-linear",
+		"pruned": "bounded", "pruned-parallel": "bounded", "affine": "affine-parallel",
 	} {
 		for _, w := range []int{1, 4} {
 			pl, spec, err := Resolve(Request{Shape: shape, Algorithm: alias, Workers: w})

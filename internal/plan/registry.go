@@ -21,11 +21,15 @@ type RunFunc func(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt c
 type KernelSpec struct {
 	// Name is the public algorithm name (repro.Algorithm value).
 	Name string
-	// Aliases are further public names that resolve to this kernel: its
-	// sequential name ("full" for "parallel", ...). A sequential fill is
-	// the blocked schedule run by one worker, so an alias runs this kernel
-	// at whatever worker count the request resolves to, and plans echo the
-	// requested name.
+	// Aliases are further public names that resolve to this kernel. Its
+	// one-worker names come first ("full-packed" and "full" for
+	// parallel-packed: a sequential fill is the blocked schedule run by
+	// one worker); every alias from the first that spells "parallel" on
+	// is a multi-worker name ("parallel", "diagonal"; bounded lists
+	// "pruned-parallel" before "pruned", so it has no one-worker name).
+	// An alias runs this kernel at whatever worker count the request
+	// resolves to, and plans echo the requested name; the one-worker split
+	// only decides how a downgrade names its target (see Resolve).
 	Aliases []string
 	// Gaps is the bitmask of gap models the kernel optimizes. Purely
 	// descriptive for dispatch (an explicit request runs regardless, as the
@@ -154,20 +158,6 @@ func wrapHeuristic(f func(seq.Triple, *scoring.Scheme) (*alignment.Alignment, er
 	}
 }
 
-// runPruned runs the dense Carrillo–Lipman kernel seeded with the
-// center-star-refined lower bound, surfacing its PruneStats.
-func runPruned(ctx context.Context, tr seq.Triple, sch *scoring.Scheme, opt core.Options) (*alignment.Alignment, *core.PruneStats, error) {
-	bound, err := msa.CenterStarRefined(tr, sch)
-	if err != nil {
-		return nil, nil, err
-	}
-	aln, st, err := core.AlignPrunedParallel(ctx, tr, sch, opt, bound.Score)
-	if err != nil {
-		return nil, nil, err
-	}
-	return aln, &st, nil
-}
-
 // runBounded runs a Carrillo–Lipman bounded-search kernel — the contiguous
 // band fill or the A* frontier — seeded with the center-star-refined lower
 // bound, surfacing its PruneStats.
@@ -210,24 +200,19 @@ func pairBytes(s Shape) uint64 { return mulSat(s.PairCells(), 12) }
 func pairCells(s Shape) uint64 { return s.PairCells() }
 
 func init() {
-	// Five blocked kernels also answer to a sequential name; one worker
-	// runs them plane by plane.
+	// The lane-packed blocked fill: AVX2 two-pass max-plus scan where the
+	// host has it, unrolled bounds-check-free windows elsewhere. It also
+	// answers to the names of the retired scalar fill ("parallel", "full")
+	// and plane-synchronized schedule ("diagonal"): same lattice, same
+	// preference-ordered traceback, so the same bytes at a multiple of the
+	// speed. One worker runs it plane by plane.
 	register(&KernelSpec{
-		Name: "parallel", Aliases: []string{"full"}, Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
-		RateKey: "parallel", SoloRateKey: "full", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignParallel),
-	})
-	register(&KernelSpec{
-		// The lane-packed fill: same lattice, same optimum, with the k-lane
-		// interior vectorized (AVX2 two-pass max-plus scan where the host
-		// has it, unrolled bounds-check-free windows elsewhere).
-		Name: "parallel-packed", Aliases: []string{"full-packed"}, Gaps: GapLinear, Space: SpaceLattice,
+		Name: "parallel-packed", Aliases: []string{"full-packed", "full", "parallel", "diagonal"},
+		Gaps: GapLinear, Space: SpaceLattice,
 		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, WidthAware: true, BytesPerCell: 4,
 		RateKey: "parallel-packed", SoloRateKey: "full-packed", RateScale: 1,
 		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignParallelPacked),
+		Run: wrap(core.AlignParallel),
 	})
 	register(&KernelSpec{
 		Name: "parallel-linear", Aliases: []string{"linear"}, Gaps: GapLinear, Space: SpacePlanes,
@@ -237,25 +222,14 @@ func init() {
 		Run:      wrap(core.AlignParallelLinear),
 	})
 	register(&KernelSpec{
-		Name: "diagonal", Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, BytesPerCell: 4,
-		RateKey: "diagonal", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: wrap(core.AlignDiagonal),
-	})
-	register(&KernelSpec{
-		Name: "pruned-parallel", Aliases: []string{"pruned"}, Gaps: GapLinear, Space: SpaceLattice,
-		Parallel: true, Exact: true, Traceback: true, Blocked3D: true, BytesPerCell: 4,
-		RateKey: "pruned", RateScale: 1,
-		Downgrade: "parallel-linear", EstBytes: latticeBytes(4),
-		Run: runPruned,
-	})
-	register(&KernelSpec{
 		// The Carrillo–Lipman contiguous band: allocates only the cells the
 		// three-way bound admits, so memory and work scale with the
 		// evaluated fraction. Exact and bit-identical to the full kernel's
 		// traceback; the rate and cell estimates are per evaluated cell.
-		Name: "bounded", Gaps: GapLinear, Space: SpaceBand,
+		// The retired dense pruned fill's names resolve here: the band
+		// stores a superset of the cells it evaluated, so its PruneStats
+		// report at least as many evaluated cells.
+		Name: "bounded", Aliases: []string{"pruned-parallel", "pruned"}, Gaps: GapLinear, Space: SpaceBand,
 		Parallel: true, Exact: true, Traceback: true, BytesPerCell: 4,
 		RateKey: "bounded", RateScale: 1, RateOnEvaluated: true,
 		Downgrade:    "parallel-linear",

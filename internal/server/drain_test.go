@@ -37,11 +37,15 @@ func TestDrainFlipsReadyzAndShedsWork(t *testing.T) {
 
 // TestDrainInFlightCompletes exercises the drain contract under -race:
 // requests already admitted finish with 200 even though BeginDrain flips
-// readiness mid-flight.
+// readiness mid-flight. The request runs the seven-state linear-space
+// kernel — tens of milliseconds at n=80, an order of magnitude past the
+// admission pause below — so it is still in flight when the drain lands;
+// with the default scheme's zero gap-open cost it returns the linear-gap
+// optimum.
 func TestDrainInFlightCompletes(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2, CoalesceTick: 0})
-	a, b, c := testTriple(t, 21, 150)
-	body := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":"full"}`, a, b, c)
+	a, b, c := testTriple(t, 21, 80)
+	body := fmt.Sprintf(`{"a":%q,"b":%q,"c":%q,"algorithm":"affine-linear"}`, a, b, c)
 
 	started := make(chan struct{})
 	var wg sync.WaitGroup

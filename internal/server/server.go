@@ -304,8 +304,9 @@ type Statsz struct {
 	PlannedPacked int64 `json:"planned_packed"`
 	// PlannedBounded counts served plans that selected a Carrillo–Lipman
 	// bounded-search kernel (bounded or astar); PrunedCellsSkipped sums the
-	// lattice cells those kernels (and the dense pruned ones) never
-	// evaluated — the work the bound saved across all served traffic.
+	// lattice cells every Carrillo–Lipman run (also under the pruned
+	// names) never evaluated — the work the bound saved across all served
+	// traffic.
 	PlannedBounded     int64 `json:"planned_bounded"`
 	PrunedCellsSkipped int64 `json:"pruned_cells_skipped"`
 

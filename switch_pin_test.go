@@ -49,24 +49,19 @@ func legacyResolveAlgorithm(tr Triple, sch *Scheme, opt Options) Algorithm {
 }
 
 // legacyRunAlgorithm is the pre-planner dispatch switch, verbatim except
-// that the arms of the folded sequential twins call the blocked kernel
-// that absorbed them.
+// that the arms of folded or retired kernels call the kernel that absorbed
+// them: the sequential twins and the scalar and plane-synchronized fills
+// run the blocked lane-packed kernel, and the dense Carrillo–Lipman fill
+// runs the sparse band, whose moves the core oracle suite pins to the
+// dense kernel's.
 func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Scheme, copt core.Options) (aln *Alignment, prune *PruneStats, err error) {
 	switch algo {
-	case AlgorithmFull:
+	case AlgorithmFull, AlgorithmFullPacked, AlgorithmParallel, AlgorithmParallelPacked, AlgorithmDiagonal:
 		aln, err = core.AlignParallel(ctx, tr, sch, copt)
-	case AlgorithmFullPacked:
-		aln, err = core.AlignParallelPacked(ctx, tr, sch, copt)
-	case AlgorithmParallel:
-		aln, err = core.AlignParallel(ctx, tr, sch, copt)
-	case AlgorithmParallelPacked:
-		aln, err = core.AlignParallelPacked(ctx, tr, sch, copt)
 	case AlgorithmLinear:
 		aln, err = core.AlignParallelLinear(ctx, tr, sch, copt)
 	case AlgorithmParallelLinear:
 		aln, err = core.AlignParallelLinear(ctx, tr, sch, copt)
-	case AlgorithmDiagonal:
-		aln, err = core.AlignDiagonal(ctx, tr, sch, copt)
 	case AlgorithmAffine:
 		aln, err = core.AlignAffineParallel(ctx, tr, sch, copt)
 	case AlgorithmAffineLinear:
@@ -81,11 +76,7 @@ func legacyRunAlgorithm(ctx context.Context, algo Algorithm, tr Triple, sch *Sch
 		}
 		var st core.PruneStats
 		switch algo {
-		case AlgorithmPruned:
-			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, copt, bound.Score)
-		case AlgorithmPrunedParallel:
-			aln, st, err = core.AlignPrunedParallel(ctx, tr, sch, copt, bound.Score)
-		case AlgorithmBounded:
+		case AlgorithmPruned, AlgorithmPrunedParallel, AlgorithmBounded:
 			aln, st, err = core.AlignBounded(ctx, tr, sch, copt, bound.Score)
 		case AlgorithmAStar:
 			aln, st, err = core.AlignAStar(ctx, tr, sch, copt, bound.Score)

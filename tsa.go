@@ -78,15 +78,17 @@ type Algorithm string
 // is exact (identical optimal linear-gap SP scores); the affine kernels are
 // exact under the affine objective; the last three are fast heuristics.
 //
-// Five names are aliases. AlgorithmFull, AlgorithmFullPacked,
-// AlgorithmLinear, AlgorithmPruned and AlgorithmAffine are sequential
-// names for blocked kernels; a sequential fill is the blocked wavefront
-// run by one worker, so each alias runs its blocked kernel
-// (AlgorithmParallel, AlgorithmParallelPacked, AlgorithmParallelLinear,
-// AlgorithmPrunedParallel, AlgorithmAffineParallel) at Options.Workers.
-// Results are bit-identical at every worker count, and Result.Algorithm
-// and Plan.Algorithm echo the name that was requested. Set Workers to 1
-// for a sequential run.
+// Eight names are aliases. AlgorithmFull, AlgorithmFullPacked,
+// AlgorithmParallel and AlgorithmDiagonal run AlgorithmParallelPacked;
+// AlgorithmLinear runs AlgorithmParallelLinear; AlgorithmAffine runs
+// AlgorithmAffineParallel; AlgorithmPruned and AlgorithmPrunedParallel run
+// AlgorithmBounded. A sequential fill is the blocked wavefront run by one
+// worker, and the retired scalar, plane-synchronized and dense pruned
+// fills computed the same lattice values as the kernels now serving their
+// names, so every alias returns the same rows and score its retired kernel
+// did, at Options.Workers. Results are bit-identical at every worker
+// count, and Result.Algorithm and Plan.Algorithm echo the name that was
+// requested. Set Workers to 1 for a sequential run.
 const (
 	// AlgorithmAuto matches the scheme's gap model: AlgorithmParallelPacked
 	// for linear gaps or AlgorithmAffineParallel for affine schemes, at
@@ -96,18 +98,19 @@ const (
 	// predicts it faster.
 	AlgorithmAuto Algorithm = ""
 	// AlgorithmFull is the full-matrix 3D dynamic program; an alias of
-	// AlgorithmParallel.
+	// AlgorithmParallelPacked.
 	AlgorithmFull Algorithm = "full"
 	// AlgorithmFullPacked is an alias of AlgorithmParallelPacked.
 	AlgorithmFullPacked Algorithm = "full-packed"
-	// AlgorithmParallel is the paper's blocked-wavefront algorithm over the
-	// full lattice.
+	// AlgorithmParallel names the paper's blocked-wavefront algorithm over
+	// the full lattice; an alias of AlgorithmParallelPacked, which runs
+	// that schedule with the lane-packed interior.
 	AlgorithmParallel Algorithm = "parallel"
-	// AlgorithmParallelPacked is AlgorithmParallel with the lane-packed
-	// interior: the innermost k-lane runs a vectorized two-pass max-plus
-	// scan (AVX2 where available, unrolled bounds-check-free Go elsewhere)
-	// and honors the planner's negotiated 16-bit cell width. Same lattice,
-	// same optimum, several times the throughput.
+	// AlgorithmParallelPacked is the paper's blocked-wavefront algorithm
+	// with the lane-packed interior: the innermost k-lane runs a
+	// vectorized two-pass max-plus scan (AVX2 where available, unrolled
+	// bounds-check-free Go elsewhere) and honors the planner's negotiated
+	// 16-bit cell width.
 	AlgorithmParallelPacked Algorithm = "parallel-packed"
 	// AlgorithmLinear is the linear-space divide-and-conquer; an alias of
 	// AlgorithmParallelLinear.
@@ -115,15 +118,18 @@ const (
 	// AlgorithmParallelLinear is the linear-space divide-and-conquer with
 	// parallel plane sweeps and concurrent sub-problems.
 	AlgorithmParallelLinear Algorithm = "parallel-linear"
-	// AlgorithmDiagonal is the plane-synchronized (anti-diagonal) parallel
-	// wavefront — the classic cell-level formulation the blocked schedule
-	// is compared against.
+	// AlgorithmDiagonal named the plane-synchronized (anti-diagonal)
+	// wavefront, the cell-level schedule the blocked one is compared
+	// against; it fills the same lattice, so it is an alias of
+	// AlgorithmParallelPacked. The schedule ablation itself lives in the
+	// core package's benchmarks.
 	AlgorithmDiagonal Algorithm = "diagonal"
-	// AlgorithmPruned is an alias of AlgorithmPrunedParallel.
+	// AlgorithmPruned is an alias of AlgorithmBounded.
 	AlgorithmPruned Algorithm = "pruned"
-	// AlgorithmPrunedParallel restricts the blocked full-matrix fill to the
-	// Carrillo–Lipman admissible region, using the center-star-refined
-	// score as the lower bound.
+	// AlgorithmPrunedParallel named the dense full-matrix fill restricted
+	// to the Carrillo–Lipman admissible region; an alias of
+	// AlgorithmBounded, whose band stores a superset of that region, so
+	// Result.Prune reports at least as many evaluated cells.
 	AlgorithmPrunedParallel Algorithm = "pruned-parallel"
 	// AlgorithmBounded is true Carrillo–Lipman bounded search: it allocates
 	// only the admissible band (memory scales with the cells the bound
@@ -258,10 +264,10 @@ type Result struct {
 	Algorithm Algorithm
 	// Elapsed is the wall-clock alignment time.
 	Elapsed time.Duration
-	// Prune carries Carrillo–Lipman statistics when the pruned or a
-	// bounded-search kernel ran (AlgorithmPrunedParallel or its alias,
-	// AlgorithmBounded, AlgorithmAStar): the lattice size, the cells
-	// actually evaluated, and the bounds.
+	// Prune carries Carrillo–Lipman statistics when a bounded-search
+	// kernel ran (AlgorithmBounded and its pruned aliases,
+	// AlgorithmAStar): the lattice size, the cells actually evaluated, and
+	// the bounds.
 	Prune *PruneStats
 	// Plan is the execution plan that produced this result: the planner's
 	// kernel choice with its footprint and duration estimates, including
